@@ -422,38 +422,6 @@ func BenchmarkEngineCeilingReadBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCeilingDispatcher is the shared-nothing ablation at
-// Workers=4: "shared" is the PR 3 topology (one selector drained by a
-// dispatcher goroutine routing readiness into per-worker event lanes),
-// "sharded" the per-worker selectors where readiness lands directly on
-// the owning worker. The pkts/sec gap is what removing the last shared
-// hot-path stage buys.
-func BenchmarkEngineCeilingDispatcher(b *testing.B) {
-	for _, arm := range []struct {
-		name   string
-		shared bool
-	}{{"sharded", false}, {"shared", true}} {
-		b.Run(arm.name, func(b *testing.B) {
-			o := mopeye.DefaultDispatchBenchOptions()
-			o.WorkerCounts = []int{4}
-			o.SharedDispatcher = arm.shared
-			var pktsPerSec float64
-			for i := 0; i < b.N; i++ {
-				res, err := mopeye.RunDispatchBench(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				row := res.Rows[0]
-				if row.Errors > 0 {
-					b.Fatalf("flood errors: %d", row.Errors)
-				}
-				pktsPerSec = row.PacketsPerSec
-			}
-			b.ReportMetric(pktsPerSec, "pkts/sec")
-		})
-	}
-}
-
 // BenchmarkEngineCeilingAdaptiveBatch races the AIMD burst governor
 // against pinned burst sizes at Workers=4. Under the sustained
 // loopback flood the governor should converge to the ceiling within

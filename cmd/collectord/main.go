@@ -11,9 +11,7 @@
 // (sketched aggregates, O(1) in dataset size), GET /healthz, and —
 // with -metrics — GET /metrics (Prometheus text exposition: upload
 // counters, dedup hits, spool segments and bytes, per-shard record
-// skew, sketched per-network RTT summaries; with -shards N>1 the
-// default view is the exact fan-in merge and ?shard=i drills into one
-// collector shard).
+// skew, sketched per-network RTT summaries).
 //
 // Usage:
 //
@@ -21,12 +19,18 @@
 //	           [-shards N] [-retain-records=BOOL] [-spool-segment-bytes N]
 //	           [-metrics]
 //
-// -shards 1 (the default) runs a single collector; -shards N>1 runs a
-// crowd.ShardedServer — N full collectors, each spooling under
-// DIR/shard-00i, merged behind one /v1/stats. Feed it from a phone
+// -shards sets the ingest lock-shard count (rounded up to a power of
+// two; default crowd.DefaultIngestShards = 16). Uploads lock only their
+// device's shard, and each shard appends to its own spool segment
+// chain, DIR/shard-NNN. Spools in older layouts — one chain at the
+// root of DIR, or shard chains left by a run with more shards — are
+// replayed read-only at start-up. Feed the collector from a phone
 // (`mopeye -upload http://127.0.0.1:8477`) or a fleet, then analyse
 // with `crowdstudy -serve http://127.0.0.1:8477` (live) or
 // `crowdstudy -spool DIR` (offline).
+//
+// The listener cuts off peers that trickle requests or idle on a
+// connection (metrics.NewHTTPServer's limits).
 //
 // SIGINT/SIGTERM shut the collector down gracefully: the listener
 // stops accepting, in-flight uploads drain (their commits and spool
@@ -41,13 +45,13 @@ import (
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/crowd"
+	"repro/internal/metrics"
 )
 
 // config is the parsed command line.
@@ -69,7 +73,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&c.addr, "addr", "127.0.0.1:8477", "listen address")
 	fs.StringVar(&c.spool, "spool", "", "durable spool directory (empty = memory only)")
 	fs.StringVar(&c.token, "token", "", "shared bearer token required on every request (empty = open)")
-	fs.IntVar(&c.shards, "shards", 1, "collector shards: 1 = single server, N>1 = sharded ingest with per-shard spools")
+	fs.IntVar(&c.shards, "shards", crowd.DefaultIngestShards, "ingest lock shards, each with its own spool chain under DIR/shard-NNN (rounded up to a power of two)")
 	fs.BoolVar(&c.retainRecords, "retain-records", true, "keep raw records in memory and serve /v1/records (false = sketched aggregates only, bounded memory)")
 	fs.Int64Var(&c.spoolSegmentBytes, "spool-segment-bytes", 0, "spool segment size cap in bytes (0 = 64 MiB default)")
 	fs.BoolVar(&c.metrics, "metrics", false, "serve GET /metrics (Prometheus text exposition; token-exempt like /healthz)")
@@ -94,26 +98,11 @@ func (c config) serverOptions() crowd.ServerOptions {
 	return crowd.ServerOptions{
 		SpoolDir:          c.spool,
 		Token:             c.token,
+		IngestShards:      c.shards,
 		RetainRecords:     retain,
 		SpoolSegmentBytes: c.spoolSegmentBytes,
 		ExposeMetrics:     c.metrics,
 	}
-}
-
-// collector is what main needs from either server shape.
-type collector interface {
-	http.Handler
-	Stats() crowd.ServerStats
-	Close() error
-}
-
-// newCollector builds the configured collector: one crowd.Server, or a
-// crowd.ShardedServer when -shards asks for more.
-func newCollector(c config) (collector, error) {
-	if c.shards == 1 {
-		return crowd.NewServer(c.serverOptions())
-	}
-	return crowd.NewShardedServer(c.serverOptions(), c.shards)
 }
 
 // drainTimeout bounds the graceful-shutdown drain; connections still
@@ -127,7 +116,7 @@ const drainTimeout = 5 * time.Second
 // and print the final tally to out. Factored out of main so the
 // interrupted-restart path is testable in-process.
 func serve(ctx context.Context, c config, ln net.Listener, out io.Writer) error {
-	srv, err := newCollector(c)
+	srv, err := crowd.NewServer(c.serverOptions())
 	if err != nil {
 		return err
 	}
@@ -137,7 +126,7 @@ func serve(ctx context.Context, c config, ln net.Listener, out io.Writer) error 
 	log.Printf("collectord listening on http://%s (spool %q, shards %d, retain-records %v, metrics %v)",
 		ln.Addr(), c.spool, c.shards, c.retainRecords, c.metrics)
 
-	hs := &http.Server{Handler: srv}
+	hs := metrics.NewHTTPServer(srv)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

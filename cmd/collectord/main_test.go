@@ -9,12 +9,14 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/crowd"
 	"repro/internal/measure"
+	"repro/internal/metrics"
 )
 
 func TestParseFlagsDefaults(t *testing.T) {
@@ -22,11 +24,11 @@ func TestParseFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.addr != "127.0.0.1:8477" || c.shards != 1 || !c.retainRecords || c.spoolSegmentBytes != 0 {
+	if c.addr != "127.0.0.1:8477" || c.shards != crowd.DefaultIngestShards || !c.retainRecords || c.spoolSegmentBytes != 0 {
 		t.Errorf("defaults: %+v", c)
 	}
 	o := c.serverOptions()
-	if o.RetainRecords != crowd.RetainOn || o.SpoolSegmentBytes != 0 {
+	if o.RetainRecords != crowd.RetainOn || o.SpoolSegmentBytes != 0 || o.IngestShards != crowd.DefaultIngestShards {
 		t.Errorf("default options: %+v", o)
 	}
 }
@@ -51,7 +53,7 @@ func TestParseFlagsAll(t *testing.T) {
 	}
 	o := c.serverOptions()
 	if o.RetainRecords != crowd.RetainOff || o.SpoolSegmentBytes != 1<<20 ||
-		o.SpoolDir != "/tmp/spool" || o.Token != "secret" {
+		o.SpoolDir != "/tmp/spool" || o.Token != "secret" || o.IngestShards != 8 {
 		t.Errorf("options: %+v", o)
 	}
 }
@@ -69,36 +71,66 @@ func TestParseFlagsRejects(t *testing.T) {
 	}
 }
 
-// The parsed config builds the advertised server shapes.
+// -shards sets the server's ingest shard count, and each shard spools
+// in its own chain directory.
 func TestNewCollectorShapes(t *testing.T) {
-	c, err := parseFlags([]string{"-shards", "1"})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		args   []string
+		shards int
+	}{
+		{nil, crowd.DefaultIngestShards},
+		{[]string{"-shards", "1"}, 1},
+		{[]string{"-shards", "4"}, 4},
+		{[]string{"-shards", "3"}, 4}, // rounded up to a power of two
+	} {
+		spool := t.TempDir()
+		c, err := parseFlags(append(tc.args, "-spool", spool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := crowd.NewServer(c.serverOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Summary().Shards; got != tc.shards {
+			t.Errorf("%v: %d ingest shards, want %d", tc.args, got, tc.shards)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if dirs, _ := filepath.Glob(filepath.Join(spool, "shard-*")); len(dirs) != tc.shards {
+			t.Errorf("%v: %d shard chains, want %d", tc.args, len(dirs), tc.shards)
+		}
 	}
-	single, err := newCollector(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
-	if _, ok := single.(*crowd.Server); !ok {
-		t.Errorf("-shards 1 built %T", single)
-	}
+}
 
-	c, err = parseFlags([]string{"-shards", "4", "-spool", t.TempDir()})
+// The collector's listener refuses oversized request headers — the
+// listener limits are set on it.
+func TestServeBoundsHeaders(t *testing.T) {
+	c, err := parseFlags(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := newCollector(c)
+	var out bytes.Buffer
+	url, cancel, done := startServe(t, c, &out)
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}()
+	req, err := http.NewRequest(http.MethodGet, url+"/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sharded.Close()
-	ss, ok := sharded.(*crowd.ShardedServer)
-	if !ok {
-		t.Fatalf("-shards 4 built %T", sharded)
+	req.Header.Set("X-Big", strings.Repeat("a", 2*metrics.ServerMaxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(ss.Servers()) != 4 {
-		t.Errorf("shard count: %d", len(ss.Servers()))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized header: %s, want 431", resp.Status)
 	}
 }
 
@@ -270,8 +302,8 @@ func TestServeGracefulShutdownDrainsAndHeals(t *testing.T) {
 	}
 }
 
-// TestServeMetricsFlag: -metrics exposes the live exposition on both
-// server shapes, and the counters move with traffic.
+// TestServeMetricsFlag: -metrics exposes the live exposition at any
+// shard count, and the counters move with traffic.
 func TestServeMetricsFlag(t *testing.T) {
 	for _, shards := range []string{"1", "2"} {
 		c, err := parseFlags([]string{"-metrics", "-shards", shards})

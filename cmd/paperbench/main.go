@@ -8,12 +8,11 @@
 // fanning their Collector uploads into one collector server, in
 // process and over HTTP, to price the wire.
 //
-// The sweeps take ablation knobs: -readbatch sweeps burst sizes
-// (explicit N pins, "auto" or 0 runs the AIMD governor), and
-// -dispatcher shared runs the legacy shared-selector topology against
-// the default per-worker selectors. -cpuprofile/-memprofile write
-// pprof profiles of whatever experiment runs, so ceiling hotspots are
-// inspectable without editing code (workflow in EXPERIMENTS.md).
+// The sweeps take an ablation knob: -readbatch sweeps burst sizes
+// (explicit N pins, "auto" or 0 runs the AIMD governor).
+// -cpuprofile/-memprofile write pprof profiles of whatever experiment
+// runs, so ceiling hotspots are inspectable without editing code
+// (workflow in EXPERIMENTS.md).
 //
 // -exp scenarios runs the scenario matrix: adverse network-condition
 // profiles (-profiles) crossed with trace-driven fleet workloads
@@ -44,7 +43,7 @@
 //
 // Usage:
 //
-//	paperbench [-exp all|table1|table2|table3|table4|fig5|overhead|parallel|dispatch|fleet|ingest|scenarios|ceiling] [-fast] [-workers 1,2,4] [-readbatch auto,64] [-dispatcher sharded|shared] [-subs 0] [-metrics] [-phones 8] [-devices 100000] [-ingest-shards 4] [-ingest-floor 0] [-ingest-verify] [-metrics-addr 127.0.0.1:9137] [-profiles a,b] [-workloads web,video] [-cell-ms 2000] [-cell-phones 3] [-tun sim|real] [-tun-name pbench0] [-upstream direct|socks5://host:port] [-cpuprofile f] [-memprofile f]
+//	paperbench [-exp all|table1|table2|table3|table4|fig5|overhead|parallel|dispatch|fleet|ingest|scenarios|ceiling] [-fast] [-workers 1,2,4] [-readbatch auto,64] [-subs 0] [-metrics] [-phones 8] [-devices 100000] [-ingest-shards 16] [-ingest-floor 0] [-ingest-verify] [-metrics-addr 127.0.0.1:9137] [-profiles a,b] [-workloads web,video] [-cell-ms 2000] [-cell-phones 3] [-tun sim|real] [-tun-name pbench0] [-upstream direct|socks5://host:port] [-cpuprofile f] [-memprofile f]
 package main
 
 import (
@@ -61,6 +60,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/crowd"
 	"repro/internal/tun/lintun"
 	"repro/internal/upstream"
 	"repro/mopeye"
@@ -134,13 +134,12 @@ func main() {
 	fast := flag.Bool("fast", false, "smaller workloads / shorter runs")
 	workers := flag.String("workers", "1,2,4", "worker counts swept by -exp parallel/dispatch")
 	readbatch := flag.String("readbatch", "64", "read/write burst sizes swept by -exp parallel/dispatch (comma list; explicit N pins it, 1 = batching off; 0 or auto = AIMD self-tuning)")
-	dispatcher := flag.String("dispatcher", "sharded", "multi-worker topology for -exp parallel/dispatch: sharded (per-worker selectors) or shared (legacy dispatcher ablation)")
 	subs := flag.Int("subs", 0, "live measurement subscribers attached during -exp dispatch (streaming-pipeline overhead)")
 	metricsFlag := flag.Bool("metrics", false, "arm the phone observability registry during -exp dispatch and scrape it through the flood (the instrumentation-cost arm; compare against a run without it)")
 	metricsAddr := flag.String("metrics-addr", "", "serve the collector's /metrics on this address during -exp ingest, scrapeable live mid-load (e.g. 127.0.0.1:9137)")
 	phones := flag.Int("phones", 8, "fleet size for -exp fleet")
 	devices := flag.Int("devices", 100_000, "simulated device count for -exp ingest")
-	ingestShards := flag.Int("ingest-shards", 4, "collector shards for -exp ingest")
+	ingestShards := flag.Int("ingest-shards", crowd.DefaultIngestShards, "collector ingest lock shards for -exp ingest")
 	ingestFloor := flag.Float64("ingest-floor", 0, "minimum records/sec for -exp ingest; below it the run exits nonzero (CI smoke gate)")
 	ingestVerify := flag.Bool("ingest-verify", false, "verify sketched medians against exact client-side medians during -exp ingest (costs O(records) memory)")
 	profiles := flag.String("profiles", "", "comma list of condition profiles for -exp scenarios (empty = all)")
@@ -166,15 +165,6 @@ func main() {
 			workersSet = true
 		}
 	})
-
-	var sharedDispatcher bool
-	switch *dispatcher {
-	case "sharded":
-	case "shared":
-		sharedDispatcher = true
-	default:
-		log.Fatalf("bad -dispatcher %q (want sharded or shared)", *dispatcher)
-	}
 
 	// parseBatches turns "-readbatch 1,64,auto" into sweep arms ("auto"
 	// and 0 select the AIMD governor; explicit N pins the burst size).
@@ -298,15 +288,14 @@ func main() {
 			if *fast {
 				o.EchoesPerConn = 10
 			}
-			o.SharedDispatcher = sharedDispatcher
 			for _, rb := range parseBatches() {
 				o.ReadBatch, o.ReadBatchAuto = rb.n, rb.auto
 				res, err := mopeye.RunParallelBench(o)
 				if err != nil {
 					log.Fatal(err)
 				}
-				fmt.Printf("Engine scaling — multi-app flood across worker counts (readbatch=%s, dispatcher=%s):\n",
-					rb.label(), *dispatcher)
+				fmt.Printf("Engine scaling — multi-app flood across worker counts (readbatch=%s):\n",
+					rb.label())
 				fmt.Println(res)
 			}
 		case "dispatch":
@@ -322,15 +311,14 @@ func main() {
 				o.EchoesPerConn = 15
 				o.UDPPerConn = 5
 			}
-			o.SharedDispatcher = sharedDispatcher
 			for _, rb := range parseBatches() {
 				o.ReadBatch, o.ReadBatchAuto = rb.n, rb.auto
 				res, err := mopeye.RunDispatchBench(o)
 				if err != nil {
 					log.Fatal(err)
 				}
-				fmt.Printf("Engine ceiling — zero-delay loopback flood across worker counts (readbatch=%s, dispatcher=%s, subscribers=%d, metrics=%v):\n",
-					rb.label(), *dispatcher, *subs, *metricsFlag)
+				fmt.Printf("Engine ceiling — zero-delay loopback flood across worker counts (readbatch=%s, subscribers=%d, metrics=%v):\n",
+					rb.label(), *subs, *metricsFlag)
 				fmt.Println(res)
 			}
 		case "fleet":
@@ -349,7 +337,7 @@ func main() {
 		case "ingest":
 			o := mopeye.DefaultIngestBenchOptions()
 			o.Devices = *devices
-			o.ServerShards = *ingestShards
+			o.IngestShards = *ingestShards
 			o.VerifyExact = *ingestVerify
 			o.MetricsAddr = *metricsAddr
 			if *fast {
@@ -360,7 +348,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("Collector ingest — %d simulated devices through the HTTP upload path into a %d-shard collector (retain-records off):\n",
-				res.Devices, o.ServerShards)
+				res.Devices, res.Options.IngestShards)
 			fmt.Println(res)
 			if *ingestFloor > 0 && res.RecordsPerSec < *ingestFloor {
 				log.Fatalf("ingest throughput %.0f records/sec below floor %.0f", res.RecordsPerSec, *ingestFloor)

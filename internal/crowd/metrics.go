@@ -10,16 +10,10 @@ import (
 
 // Collector observability. Every instrument is a scrape-time read over
 // state the server already maintains — the upload hot path is not
-// touched. The family set is deliberately additive (counters, per-shard
-// record counts, spool footprint, sketch summaries), which is what
-// makes the sharded merged view truthful: metrics.Merge over N shard
-// snapshots equals the snapshot one unsharded server would have
-// produced from the same uploads (the equivalence the tests pin). The
-// one non-additive fact — retained-records mode — is re-stamped after
-// the merge rather than summed.
-
-// retainGaugeName is the mode flag family; see shardedSnapshot.
-const retainGaugeName = "mopeye_collector_retain_records"
+// touched. Counters and sketch summaries are totals over the ingest
+// shards, so they read the same whatever the shard count; the
+// per-shard skew family and the spool footprint (one chain per shard)
+// show the split.
 
 // metricsRegistry builds (once) the server's registry.
 func (s *Server) metricsRegistry() *metrics.Registry {
@@ -43,7 +37,7 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 		r.GaugeFunc("mopeye_collector_dedup_keys",
 			"Idempotency keys held (dedup-map footprint).",
 			func() float64 { return float64(s.DedupKeys()) })
-		r.GaugeFunc(retainGaugeName,
+		r.GaugeFunc("mopeye_collector_retain_records",
 			"1 when raw records are retained in memory, 0 under RetainOff.",
 			func() float64 {
 				if s.o.retain() {
@@ -52,24 +46,13 @@ func (s *Server) metricsRegistry() *metrics.Registry {
 				return 0
 			})
 		r.GaugeFunc("mopeye_collector_spool_segments",
-			"Spool segment files on disk (0 when memory-only).",
-			func() float64 {
-				if s.spool == nil {
-					return 0
-				}
-				return float64(s.spool.Stats().Segments)
-			})
+			"Spool segment files across the shard chains (0 when memory-only).",
+			func() float64 { return float64(s.spoolStats().Segments) })
 		r.GaugeFunc("mopeye_collector_spool_bytes",
-			"Total spool bytes on disk (0 when memory-only).",
-			func() float64 {
-				if s.spool == nil {
-					return 0
-				}
-				return float64(s.spool.Stats().Bytes)
-			})
-		// Per-ingest-shard record counts: the skew view. Shard index is
-		// the device-hash bucket, identical across sharded and unsharded
-		// deployments, so these sum exactly under metrics.Merge.
+			"Total spool bytes across the shard chains (0 when memory-only).",
+			func() float64 { return float64(s.spoolStats().Bytes) })
+		// Per-ingest-shard record counts: the skew view. The shard index
+		// is the device-hash bucket, so the samples sum to records_total.
 		r.CollectGauges("mopeye_collector_shard_records",
 			"Records committed per ingest shard (device-hash skew).",
 			func() []metrics.Sample {
@@ -118,62 +101,5 @@ func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", metrics.ContentType)
 		_ = s.WriteMetrics(w)
-	})
-}
-
-// Metrics returns the merged view: every shard's snapshot folded
-// through metrics.Merge (counters and per-shard skew sum, sketches
-// merge bin-wise), then the retain-mode flag re-stamped — a mode is
-// shared, not additive.
-func (ss *ShardedServer) Metrics() (metrics.Snapshot, error) {
-	snaps := make([]metrics.Snapshot, len(ss.shards))
-	for i, s := range ss.shards {
-		snaps[i] = s.Metrics()
-	}
-	merged, err := metrics.Merge(snaps...)
-	if err != nil {
-		return nil, err
-	}
-	for i := range merged {
-		if merged[i].Name != retainGaugeName {
-			continue
-		}
-		for j := range merged[i].Samples {
-			if ss.o.retain() {
-				merged[i].Samples[j].Value = 1
-			} else {
-				merged[i].Samples[j].Value = 0
-			}
-		}
-	}
-	return merged, nil
-}
-
-// WriteMetrics renders the merged view.
-func (ss *ShardedServer) WriteMetrics(w io.Writer) error {
-	snap, err := ss.Metrics()
-	if err != nil {
-		return err
-	}
-	return snap.WritePrometheus(w)
-}
-
-// MetricsHandler serves the merged view by default; ?shard=N serves
-// one collector shard's own registry (the per-shard skew drill-down).
-func (ss *ShardedServer) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if q := r.URL.Query().Get("shard"); q != "" {
-			n, err := strconv.Atoi(q)
-			if err != nil || n < 0 || n >= len(ss.shards) {
-				http.Error(w, "shard out of range", http.StatusBadRequest)
-				return
-			}
-			ss.shards[n].MetricsHandler().ServeHTTP(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", metrics.ContentType)
-		if err := ss.WriteMetrics(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
 	})
 }

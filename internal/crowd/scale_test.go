@@ -259,7 +259,7 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Abs(want)
 }
 
-// --- ShardedServer ---
+// --- sharded ingest with per-shard spool chains ---
 
 func shardedUpload(t *testing.T, ts *httptest.Server, token string, n int) []measure.Batch {
 	t.Helper()
@@ -276,14 +276,15 @@ func shardedUpload(t *testing.T, ts *httptest.Server, token string, n int) []mea
 	return batches
 }
 
-// The sharded collector accepts, dedups, and its merged Summary is
-// identical to an unsharded Server fed the same batches — the fan-in
-// is exact.
+// A four-shard spooling collector accepts, dedups, and its merged
+// Summary is identical to a one-shard Server fed the same batches —
+// the fan-in over shards is exact.
 func TestShardedServerMatchesUnsharded(t *testing.T) {
-	ss, err := NewShardedServer(ServerOptions{}, 4)
+	ss, err := NewServer(ServerOptions{IngestShards: 4, SpoolDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ss.Close()
 	ts := httptest.NewServer(ss)
 	defer ts.Close()
 	batches := shardedUpload(t, ts, "", 60)
@@ -298,8 +299,9 @@ func TestShardedServerMatchesUnsharded(t *testing.T) {
 		t.Fatalf("sharded stats: %+v", st)
 	}
 
-	// Feed the identical batches to one Server and compare summaries.
-	ref, err := NewServer(ServerOptions{})
+	// Feed the identical batches to a one-shard Server and compare
+	// summaries.
+	ref, err := NewServer(ServerOptions{IngestShards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,11 +381,11 @@ func recordKeys(recs []measure.Record) []string {
 	return out
 }
 
-// Sharded spools live in per-shard subdirectories and replay on
-// restart with dedup intact.
+// Each ingest shard spools in its own subdirectory, and the chains
+// replay on restart with dedup intact.
 func TestShardedServerSpoolRestart(t *testing.T) {
 	dir := t.TempDir()
-	ss1, err := NewShardedServer(ServerOptions{SpoolDir: dir}, 4)
+	ss1, err := NewServer(ServerOptions{IngestShards: 4, SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,13 +395,16 @@ func TestShardedServerSpoolRestart(t *testing.T) {
 	if err := ss1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Shards that accepted batches spooled into their own subdirs.
+	// One chain per shard, and none at the root.
 	subdirs, _ := filepath.Glob(filepath.Join(dir, "shard-*"))
 	if len(subdirs) != 4 {
 		t.Fatalf("shard spool dirs: %v", subdirs)
 	}
+	if _, err := os.Stat(filepath.Join(dir, spoolFile)); !os.IsNotExist(err) {
+		t.Errorf("root-level chain written: %v", err)
+	}
 
-	ss2, err := NewShardedServer(ServerOptions{SpoolDir: dir}, 4)
+	ss2, err := NewServer(ServerOptions{IngestShards: 4, SpoolDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,16 +423,17 @@ func TestShardedServerSpoolRestart(t *testing.T) {
 		t.Errorf("post-restart sharded dedup: %+v", st)
 	}
 	// Compaction sweeps every shard without error.
-	if _, _, err := ss2.CompactSpools(); err != nil {
+	if _, _, err := ss2.CompactSpool(); err != nil {
 		t.Errorf("sharded compact: %v", err)
 	}
 }
 
 func TestShardedServerAuthAndRetainOff(t *testing.T) {
-	ss, err := NewShardedServer(ServerOptions{Token: "tok", RetainRecords: RetainOff}, 2)
+	ss, err := NewServer(ServerOptions{Token: "tok", RetainRecords: RetainOff, IngestShards: 2, SpoolDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ss.Close()
 	ts := httptest.NewServer(ss)
 	defer ts.Close()
 

@@ -26,11 +26,12 @@ import (
 //
 // Ingest state is sharded by device-stamp hash (the flowtable
 // discipline applied to the collector): each internal shard owns its
-// dedup keys, sketch state, and optional raw records behind its own
-// mutex, so uploads from different devices never serialize on one
-// lock. A batch's device decides its shard, and a batch's idempotency
-// key is only ever checked against its own device's shard — consistent
-// because retries of a batch carry the same device stamp.
+// dedup keys, sketch state, optional raw records, and spool segment
+// chain behind its own mutex, so uploads from different devices never
+// serialize on one lock or one file. A batch's device decides its
+// shard, and a batch's idempotency key is only ever checked against
+// its own device's shard — consistent because retries of a batch carry
+// the same device stamp.
 
 // Upload protocol headers.
 const (
@@ -62,9 +63,10 @@ const (
 // ServerOptions configures a collector server.
 type ServerOptions struct {
 	// SpoolDir, when non-empty, is the durable spool directory: every
-	// accepted batch is appended there, and an existing spool is
+	// accepted batch is appended to its ingest shard's segment chain
+	// under <SpoolDir>/shard-NNN, and every chain found there is
 	// replayed at construction (records and dedup keys both survive a
-	// restart). Empty keeps the dataset memory-only.
+	// restart; see openSpools). Empty keeps the dataset memory-only.
 	SpoolDir string
 	// Token, when non-empty, is the shared bearer token every request
 	// must present ("Authorization: Bearer <token>").
@@ -133,13 +135,17 @@ func (c *serverCounters) snapshot() ServerStats {
 }
 
 // ingestShard is one lock domain of the server's ingest state: the
-// dedup keys, sketches, and (when retained) raw records of the devices
-// hashing here.
+// dedup keys, sketches, (when retained) raw records, and spool chain
+// of the devices hashing here.
 type ingestShard struct {
 	mu   sync.Mutex
 	keys map[string]struct{}
 	recs []measure.Record
 	agg  *agg
+	// spool is the shard's own segment chain (nil when memory-only).
+	// Appends happen under mu, so the chain holds each device's batches
+	// in commit order.
+	spool *Spool
 
 	// recCount counts records committed to this shard over its lifetime
 	// (independent of retention, unlike len(recs)). Atomic so the
@@ -179,10 +185,6 @@ type Server struct {
 	mask   uint64
 	c      serverCounters
 
-	// spool is immutable after construction (nil when memory-only); it
-	// carries its own lock, and Close makes later Appends fail cleanly.
-	spool *Spool
-
 	// metrics is built lazily on first use (metrics.go); all its
 	// instruments are scrape-time reads over the state above.
 	metricsOnce sync.Once
@@ -209,16 +211,9 @@ func NewServer(o ServerOptions) (*Server, error) {
 		s.shards[i].agg = newAgg(o.alpha())
 	}
 	if o.SpoolDir != "" {
-		spool, replay, err := OpenSpoolOptions(o.SpoolDir, SpoolOptions{SegmentBytes: o.SpoolSegmentBytes})
-		if err != nil {
+		if err := s.openSpools(); err != nil {
+			s.Close()
 			return nil, err
-		}
-		s.spool = spool
-		for _, k := range replay.CompactedKeys {
-			s.shard(k.Device).keys[k.Key] = struct{}{}
-		}
-		for _, b := range replay.Batches {
-			s.commit(s.shard(b.Device), b)
 		}
 	}
 	mux := http.NewServeMux()
@@ -305,9 +300,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Only this device's shard locks: uploads from devices hashing to
-	// other shards proceed concurrently, including through their own
-	// spool appends (the spool serializes the file write itself, not
-	// the dedup-and-commit of independent shards).
+	// other shards proceed concurrently, each through its own shard's
+	// spool chain.
 	sh := s.shard(b.Device)
 	sh.mu.Lock()
 	if _, dup := sh.keys[b.Key]; dup {
@@ -320,8 +314,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	// so the phone's retry gets another chance at durability. The shard
 	// lock is held across the append to keep spool order and commit
 	// order identical per device — the replay-equals-live invariant.
-	if s.spool != nil {
-		if err := s.spool.Append(b); err != nil {
+	if sh.spool != nil {
+		if err := sh.spool.Append(b); err != nil {
 			sh.mu.Unlock()
 			http.Error(w, "spool: "+err.Error(), http.StatusInternalServerError)
 			return
@@ -466,19 +460,50 @@ func (s *Server) DedupKeys() int {
 	return total
 }
 
-// CompactSpool drops the spool's sealed segments (preserving their
-// dedup keys); see Spool.Compact. A memory-only server reports zeros.
+// CompactSpool drops the sealed segments of every shard chain
+// (preserving their dedup keys; see Spool.Compact), totalling segments
+// dropped and keys preserved; the first error stops the sweep.
+// Read-only chains are left as they are. A memory-only server reports
+// zeros.
 func (s *Server) CompactSpool() (segments, keys int, err error) {
-	if s.spool == nil {
-		return 0, 0, nil
+	for i := range s.shards {
+		sp := s.shards[i].spool
+		if sp == nil {
+			continue
+		}
+		sg, k, err := sp.Compact()
+		segments += sg
+		keys += k
+		if err != nil {
+			return segments, keys, err
+		}
 	}
-	return s.spool.Compact()
+	return segments, keys, nil
 }
 
-// Close releases the spool (accepted data stays readable in memory).
-func (s *Server) Close() error {
-	if s.spool == nil {
-		return nil
+// spoolStats totals the on-disk footprint of the shard chains.
+func (s *Server) spoolStats() SpoolStats {
+	var st SpoolStats
+	for i := range s.shards {
+		if sp := s.shards[i].spool; sp != nil {
+			ss := sp.Stats()
+			st.Segments += ss.Segments
+			st.Bytes += ss.Bytes
+		}
 	}
-	return s.spool.Close()
+	return st
+}
+
+// Close releases every shard's spool chain, returning the first error
+// (accepted data stays readable in memory).
+func (s *Server) Close() error {
+	var first error
+	for i := range s.shards {
+		if sp := s.shards[i].spool; sp != nil {
+			if err := sp.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -30,6 +31,13 @@ import (
 // to the last complete batch, and the sender's retry (same idempotency
 // key) redelivers what was lost. Delivery is at-least-once; the spool
 // is exactly-once after replay dedup.
+//
+// A Server keeps one such chain per ingest shard, in <dir>/shard-NNN,
+// and appends to it under the shard lock, so no two shards ever share
+// a file and each chain holds its devices' batches in commit order.
+// Chains in older layouts (one chain at the directory root, or more
+// shard chains than the current shard count) replay read-only; see
+// Server.openSpools.
 
 // Segment file layout inside a spool dir. Segment 0 keeps the legacy
 // single-file name so pre-rotation spools replay unchanged.
@@ -158,64 +166,71 @@ func OpenSpoolOptions(dir string, o SpoolOptions) (*Spool, SpoolReplay, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool dir: %w", err)
 	}
-	var rep SpoolReplay
-	keys, err := readManifest(dir)
+	c, err := readChain(dir, make(map[string]struct{}))
 	if err != nil {
 		return nil, SpoolReplay{}, err
 	}
-	rep.CompactedKeys = keys
-	seen := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		seen[k.Key] = struct{}{}
-	}
-
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool list: %w", err)
-	}
+	segs := c.segs
 	if len(segs) == 0 {
 		segs = []int{0}
 	}
-	rep.Segments = len(segs)
-
-	s := &Spool{dir: dir, o: o, seg: segs[len(segs)-1], sealed: segs[:len(segs)-1]}
-	for i, n := range segs {
-		last := i == len(segs)-1
-		f, err := os.OpenFile(filepath.Join(dir, segName(n)), os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			s.closeSilently()
-			return nil, SpoolReplay{}, fmt.Errorf("crowd: spool open: %w", err)
-		}
-		batches, goodOff := replaySpool(f, seen)
-		rep.Batches = append(rep.Batches, batches...)
-		if !last {
-			// Sealed segments are immutable; a bad tail here (it should
-			// not happen — only a crash can tear a tail, and crashes tear
-			// the then-current segment, which is the last) keeps the good
-			// prefix and moves on.
-			f.Close()
-			continue
-		}
-		// The current segment heals in place: truncate the torn tail so
-		// appends resume at a batch boundary.
-		if err := f.Truncate(goodOff); err != nil {
-			f.Close()
-			return nil, SpoolReplay{}, fmt.Errorf("crowd: spool truncate: %w", err)
-		}
-		if _, err := f.Seek(goodOff, io.SeekStart); err != nil {
-			f.Close()
-			return nil, SpoolReplay{}, fmt.Errorf("crowd: spool seek: %w", err)
-		}
-		s.f, s.fsize = f, goodOff
+	c.rep.Segments = len(segs)
+	last := segs[len(segs)-1]
+	f, err := os.OpenFile(filepath.Join(dir, segName(last)), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool open: %w", err)
 	}
-	return s, rep, nil
+	// The current segment heals in place: truncate the torn tail so
+	// appends resume at a batch boundary.
+	if err := f.Truncate(c.tail); err != nil {
+		f.Close()
+		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool truncate: %w", err)
+	}
+	if _, err := f.Seek(c.tail, io.SeekStart); err != nil {
+		f.Close()
+		return nil, SpoolReplay{}, fmt.Errorf("crowd: spool seek: %w", err)
+	}
+	return &Spool{dir: dir, o: o, f: f, fsize: c.tail, seg: last, sealed: segs[:len(segs)-1]}, c.rep, nil
 }
 
-func (s *Spool) closeSilently() {
-	if s.f != nil {
-		s.f.Close()
-		s.f = nil
+// chain is one segment chain as read from disk.
+type chain struct {
+	rep  SpoolReplay
+	segs []int // segment indexes present, ascending
+	tail int64 // durable prefix of the last segment
+}
+
+// readChain reads the chain in dir without writing to it: the
+// manifest's keys and every complete batch of every segment, in append
+// order, skipping keys already in seen and adding new ones to it. A
+// sealed segment with a bad tail (it should not happen — only a crash
+// can tear a tail, and crashes tear the then-current segment, which is
+// the last) keeps its good prefix and the read moves on. A directory
+// without segments reads as an empty chain.
+func readChain(dir string, seen map[string]struct{}) (chain, error) {
+	var c chain
+	keys, err := readManifest(dir)
+	if err != nil {
+		return c, err
 	}
+	c.rep.CompactedKeys = keys
+	for _, k := range keys {
+		seen[k.Key] = struct{}{}
+	}
+	if c.segs, err = listSegments(dir); err != nil {
+		return c, fmt.Errorf("crowd: spool list: %w", err)
+	}
+	for _, n := range c.segs {
+		f, err := os.Open(filepath.Join(dir, segName(n)))
+		if err != nil {
+			return c, fmt.Errorf("crowd: spool open: %w", err)
+		}
+		batches, goodOff := replaySpool(f, seen)
+		f.Close()
+		c.rep.Batches = append(c.rep.Batches, batches...)
+		c.tail = goodOff
+	}
+	return c, nil
 }
 
 // replaySpool reads complete batches from one segment, skipping keys
@@ -402,41 +417,132 @@ func (s *Spool) Close() error {
 }
 
 // ReadSpool loads the deduplicated records from a spool directory
-// without opening it for writing — the `crowdstudy -spool` path for
-// analysing a collectord's dataset offline. Records keep arrival
-// order across segments; records of compacted segments are gone (their
-// keys only absorb redelivery). Empty-device records are stamped with
-// their batch's device, mirroring what the server did (or would have
-// done) at accept time.
+// without writing to it — the `crowdstudy -spool` path for analysing a
+// collectord's dataset offline. It reads every chain a server would
+// replay (see Server.openSpools), in the same order and with the same
+// cross-chain dedup. Records keep append order within a chain; records
+// of compacted segments are gone (their keys only absorb redelivery).
+// Empty-device records are stamped with their batch's device,
+// mirroring what the server did (or would have done) at accept time.
 func ReadSpool(dir string) ([]measure.Record, error) {
-	keys, err := readManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]struct{}, len(keys))
-	for _, k := range keys {
-		seen[k.Key] = struct{}{}
-	}
-	segs, err := listSegments(dir)
+	shards, err := listShardChains(dir)
 	if err != nil {
 		return nil, fmt.Errorf("crowd: spool read: %w", err)
 	}
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("crowd: spool read: %w", os.ErrNotExist)
+	dirs := []string{dir}
+	for _, i := range shards {
+		dirs = append(dirs, shardDir(dir, i))
 	}
+	seen := make(map[string]struct{})
+	segments := 0
 	var recs []measure.Record
-	for _, n := range segs {
-		f, err := os.Open(filepath.Join(dir, segName(n)))
+	for _, d := range dirs {
+		c, err := readChain(d, seen)
 		if err != nil {
-			return nil, fmt.Errorf("crowd: spool read: %w", err)
+			return nil, err
 		}
-		batches, _ := replaySpool(f, seen)
-		f.Close()
-		for _, b := range batches {
+		segments += len(c.segs)
+		for _, b := range c.rep.Batches {
 			recs = append(recs, stampRecords(b)...)
 		}
 	}
+	if segments == 0 {
+		return nil, fmt.Errorf("crowd: spool read: %w", os.ErrNotExist)
+	}
 	return recs, nil
+}
+
+// shardDirFmt names ingest shard i's chain inside a spool directory.
+const shardDirFmt = "shard-%03d"
+
+func shardDir(root string, i int) string {
+	return filepath.Join(root, fmt.Sprintf(shardDirFmt, i))
+}
+
+// listShardChains returns the indexes of the shard chain directories
+// in root, ascending.
+func listShardChains(root string) ([]int, error) {
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, err
+	}
+	var idx []int
+	for _, e := range entries {
+		num, ok := strings.CutPrefix(e.Name(), "shard-")
+		n, err := strconv.Atoi(num)
+		if ok && err == nil && n >= 0 && e.IsDir() && e.Name() == fmt.Sprintf(shardDirFmt, n) {
+			idx = append(idx, n)
+		}
+	}
+	sort.Ints(idx)
+	return idx, nil
+}
+
+// openSpools recovers every chain under SpoolDir and gives each ingest
+// shard its own writable chain, <SpoolDir>/shard-NNN. Chains the
+// server will never append to replay read-only:
+//
+//   - the root-level chain, written by servers that kept one spool for
+//     all shards;
+//   - shard chains at or beyond the current shard count, left by a run
+//     with more shards.
+//
+// Chains replay root first, then in shard order, and every batch is
+// routed to its device's shard exactly as a live upload would be —
+// after a restart with a different shard count a chain may feed
+// several shards. A key already held is skipped, so each batch
+// replays once however the chains overlap.
+func (s *Server) openSpools() error {
+	root := s.o.SpoolDir
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		return fmt.Errorf("crowd: spool dir: %w", err)
+	}
+	shards, err := listShardChains(root)
+	if err != nil {
+		return fmt.Errorf("crowd: spool list: %w", err)
+	}
+	readOnly := func(dir string) error {
+		c, err := readChain(dir, make(map[string]struct{}))
+		if err != nil {
+			return err
+		}
+		s.replay(c.rep)
+		return nil
+	}
+	if err := readOnly(root); err != nil {
+		return err
+	}
+	for i := range s.shards {
+		sp, rep, err := OpenSpoolOptions(shardDir(root, i), SpoolOptions{SegmentBytes: s.o.SpoolSegmentBytes})
+		if err != nil {
+			return err
+		}
+		s.shards[i].spool = sp
+		s.replay(rep)
+	}
+	for _, i := range shards {
+		if i >= len(s.shards) {
+			if err := readOnly(shardDir(root, i)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// replay folds one chain's recovered batches and compacted keys into
+// the ingest shards. It runs during construction, before the server
+// is shared.
+func (s *Server) replay(rep SpoolReplay) {
+	for _, k := range rep.CompactedKeys {
+		s.shard(k.Device).keys[k.Key] = struct{}{}
+	}
+	for _, b := range rep.Batches {
+		sh := s.shard(b.Device)
+		if _, dup := sh.keys[b.Key]; !dup {
+			s.commit(sh, b)
+		}
+	}
 }
 
 // stampRecords applies the batch's device attribution to records that

@@ -12,8 +12,8 @@ import (
 // are maintained incrementally on each accepted batch, so that
 // /v1/stats and per-app median queries are O(sketch) instead of
 // O(dataset). Sketches merge exactly (bin-wise), which is what lets
-// the per-shard states inside one Server — and the per-Server states
-// inside a ShardedServer — fan into a single truthful Summary.
+// the per-shard states inside one Server fan into a single truthful
+// Summary.
 
 // agg is one ingest shard's aggregation state. It is guarded by the
 // owning shard's mutex; merging reads it without mutating.
@@ -117,8 +117,8 @@ type Summary struct {
 	// RelativeAccuracy is the sketches' alpha: every quantile below is
 	// within this relative error of the exact dataset quantile.
 	RelativeAccuracy float64 `json:"relative_accuracy"`
-	// Shards is the ingest parallelism behind this summary (internal
-	// lock shards for a Server; collector shards for a ShardedServer).
+	// Shards is the ingest parallelism behind this summary: the
+	// server's lock shards, one spool chain each.
 	Shards int `json:"shards"`
 	// RetainRecords reports whether /v1/records can serve the raw
 	// dataset, or only these aggregates exist.

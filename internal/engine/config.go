@@ -130,15 +130,6 @@ type Config struct {
 	// polled loop) always runs single-worker.
 	Workers int
 
-	// SharedDispatcher reverts the multi-worker engine to its pre-
-	// shared-nothing shape: one selector for all sockets, drained by a
-	// dedicated dispatcher goroutine that claims each readiness event
-	// and routes it to the owning worker's event lane. Kept as the
-	// ablation arm that prices the shared stage (`paperbench -exp
-	// dispatch -dispatcher shared`); per-worker selectors are the
-	// default. Ignored at Workers=1.
-	SharedDispatcher bool
-
 	// FlowShards is the flow-table shard count (rounded up to a power
 	// of two); zero selects flowtable.DefaultShards. More shards than
 	// workers keeps the shard → worker assignment even.

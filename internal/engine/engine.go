@@ -21,11 +21,11 @@ import (
 //
 // The packet-processing core comes in two shapes selected by
 // Config.Workers: the paper-faithful single MainWorker loop (worker.go)
-// and, for Workers > 1, a sharded pipeline in which a dispatcher fans
-// selector events and tunnel packets out to N workers, each flow pinned
-// to the worker that owns its flow-table shard. Per-flow state lives in
-// the sharded flowtable; hot counters are atomics (stats.go) so workers
-// never contend on a global engine lock.
+// and, for Workers > 1, a sharded pipeline of N shared-nothing
+// workers, each flow pinned to the worker that owns its flow-table
+// shard. Per-flow state lives in the sharded flowtable; hot counters
+// are atomics (stats.go) so workers never contend on a global engine
+// lock.
 type Engine struct {
 	cfg    Config
 	clk    clock.Clock
@@ -35,14 +35,12 @@ type Engine struct {
 	meter  *resource.Meter
 	mapper *mapper
 
-	// sel is the shared selector: the MainWorker's single wait point at
-	// Workers=1, and the dispatcher's at Workers>1 with
-	// Config.SharedDispatcher. On the default shared-nothing path each
-	// worker owns sels[i] instead, and sockets register with the
-	// selector of the worker that owns their flow's shard, so readiness
-	// events are born on the thread that will consume them.
-	sel    *sockets.Selector
-	sels   []*sockets.Selector // per-worker; non-nil only on the sharded-selector path
+	// sels holds one selector per packet-processing thread: sels[0] is
+	// the MainWorker's single wait point on the single-worker path, and
+	// on the sharded path worker i owns sels[i]. Sockets register with
+	// the selector of the worker that owns their flow's shard, so
+	// readiness events are born on the thread that will consume them.
+	sels   []*sockets.Selector
 	readQ  *readQueue
 	writeQ *packetQueue // nil for DirectWrite
 	rngMu  sync.Mutex
@@ -133,12 +131,13 @@ func New(cfg Config, d Deps) *Engine {
 		flows:   flowtable.New[*relay.TCPClient](cfg.FlowShards),
 		stopped: make(chan struct{}),
 	}
-	e.sel = e.prov.NewSelector()
-	if e.multiWorker() && !cfg.SharedDispatcher {
-		e.sels = make([]*sockets.Selector, cfg.Workers)
-		for i := range e.sels {
-			e.sels[i] = e.prov.NewSelector()
-		}
+	threads := 1
+	if e.multiWorker() {
+		threads = cfg.Workers
+	}
+	e.sels = make([]*sockets.Selector, threads)
+	for i := range e.sels {
+		e.sels[i] = e.prov.NewSelector()
 	}
 	e.udp = newUDPRelay(e)
 	e.mapper = newMapper(d.ProcNet, d.Packages, cfg.Mapping, cfg.MapWait, d.Clock)
@@ -149,16 +148,12 @@ func New(cfg Config, d Deps) *Engine {
 }
 
 // selectorFor returns the selector a flow on the given shard registers
-// with: the owning worker's own selector on the shared-nothing path,
-// the one shared selector otherwise. Pinning the registration at
-// connect time is what lets readiness skip any dispatcher — the event
-// is enqueued directly on the consuming worker's selector and can
-// never be claimed by another thread.
+// with: the owning worker's own selector (the MainWorker's one selector
+// on the single-worker path). Pinning the registration at connect time
+// means the readiness event is enqueued directly on the consuming
+// worker's selector and can never be claimed by another thread.
 func (e *Engine) selectorFor(shard int) *sockets.Selector {
-	if e.sels != nil {
-		return e.sels[shard%len(e.sels)]
-	}
-	return e.sel
+	return e.sels[shard%len(e.sels)]
 }
 
 // Store returns the measurement store.

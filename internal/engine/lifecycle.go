@@ -3,11 +3,10 @@ package engine
 // Engine lifecycle: thread startup and teardown.
 
 // Start launches the engine threads: TunReader, the packet-processing
-// core (one MainWorker, or a dispatcher plus N pinned workers when
-// Config.Workers > 1), and (for queueWrite schemes) TunWriter. It also
-// performs the one-time addDisallowedApplication when configured
-// (§3.5.2: "the call is best invoked during the initialization of
-// MopEye").
+// core (one MainWorker, or N pinned workers when Config.Workers > 1),
+// and (for queueWrite schemes) TunWriter. It also performs the
+// one-time addDisallowedApplication when configured (§3.5.2: "the call
+// is best invoked during the initialization of MopEye").
 func (e *Engine) Start() {
 	e.mu.Lock()
 	if e.running {
@@ -29,33 +28,17 @@ func (e *Engine) Start() {
 	if e.multiWorker() {
 		// Batched pipeline: workers first (the reader scatters into
 		// their rings), then the scattering reader, then the batched
-		// writer. On the default shared-nothing path each worker runs a
-		// private MainWorker-shaped loop over its own selector and
-		// ring; under SharedDispatcher the workers drain event lanes
-		// fed by a dispatcher goroutine owning the one shared selector.
+		// writer. Each worker runs a private MainWorker-shaped loop over
+		// its own selector and ring.
 		e.workers = make([]*worker, e.cfg.Workers)
 		for i := range e.workers {
-			w := &worker{id: i, q: newRingQ(e.cfg.RingSize)}
-			if e.sels != nil {
-				w.sel = e.sels[i]
-				w.q.wake = w.sel.Wakeup
-			}
+			w := &worker{id: i, q: newRingQ(e.cfg.RingSize, e.sels[i].Wakeup), sel: e.sels[i]}
 			e.workers[i] = w
-		}
-		for _, w := range e.workers {
 			e.wg.Add(1)
-			if w.sel != nil {
-				go e.workerLoopSharded(w)
-			} else {
-				go e.workerLoop(w)
-			}
+			go e.runWorker(w)
 		}
 		e.wg.Add(1)
 		go e.tunReaderBatched()
-		if e.sels == nil {
-			e.wg.Add(1)
-			go e.dispatcher()
-		}
 	} else {
 		// Paper-faithful Figure 4: per-packet TunReader + MainWorker.
 		e.wg.Add(1)
@@ -98,7 +81,6 @@ func (e *Engine) Stop() {
 	// triggered on 5.0+; the bytes are identical from the reader's
 	// perspective).
 	_ = e.dev.InjectOutbound([]byte{0})
-	e.sel.Wakeup()
 	for _, s := range e.sels {
 		s.Wakeup()
 	}
@@ -109,7 +91,6 @@ func (e *Engine) Stop() {
 	// The packet-processing threads are gone, so no new UDP jobs can be
 	// enqueued; stopping the relay closes its sessions and pool.
 	e.udp.stop()
-	e.sel.Close()
 	for _, s := range e.sels {
 		s.Close()
 	}

@@ -86,22 +86,21 @@ func (e *Engine) RegisterMetrics(r *metrics.Registry) {
 			return out
 		})
 
-	// Selector state, one sample per selector: the per-worker selectors
-	// on the shared-nothing path, or the single shared selector
-	// (labeled "shared") on the Workers=1 / SharedDispatcher paths.
+	// Selector state, one sample per selector: labeled by worker on the
+	// sharded path, and "shared" for the MainWorker's single selector.
 	type labeledSelector struct {
 		label string
 		sel   *sockets.Selector
 	}
 	selectors := func() []labeledSelector {
-		if len(e.sels) > 0 {
-			out := make([]labeledSelector, len(e.sels))
-			for i, s := range e.sels {
-				out[i] = labeledSelector{label: strconv.Itoa(i), sel: s}
-			}
-			return out
+		if !e.multiWorker() {
+			return []labeledSelector{{label: "shared", sel: e.sels[0]}}
 		}
-		return []labeledSelector{{label: "shared", sel: e.sel}}
+		out := make([]labeledSelector, len(e.sels))
+		for i, s := range e.sels {
+			out[i] = labeledSelector{label: strconv.Itoa(i), sel: s}
+		}
+		return out
 	}
 	selGauge := func(name, help string, pick func(sockets.SelectorStats) float64) {
 		r.CollectGauges("mopeye_engine_"+name, help, func() []metrics.Sample {

@@ -276,8 +276,7 @@ func (q *readQueue) pop() ([]byte, bool) {
 }
 
 // The per-worker input queues of the sharded pipeline live in ringq.go:
-// a bounded SPSC ring for tunnel packets (fed by the batched reader)
-// plus a low-rate event lane for socket readiness (fed by the
-// dispatcher). They replaced the shared-mutex workQueue this file used
-// to define — the PR 2 loopback-ceiling profile showed that queue's
-// locks as the top engine hotspot.
+// a bounded SPSC ring for tunnel packets, fed by the batched reader.
+// They replaced the shared-mutex workQueue this file used to define,
+// whose locks the loopback-ceiling profile showed as the top engine
+// hotspot.

@@ -97,6 +97,7 @@ func (e *Engine) tunReader() {
 	defer e.wg.Done()
 	sleeping := e.readSleep()
 	policy := newPollPolicy(adaptiveShortPoll, sleeping, e.pollBurst())
+	sel := e.sels[0]
 	for e.isRunning() {
 		raw, err := e.dev.Read()
 		switch {
@@ -105,7 +106,7 @@ func (e *Engine) tunReader() {
 			// drained without sleeping at all.
 			policy.onSuccess()
 			e.readQ.push(raw)
-			e.sel.Wakeup()
+			sel.Wakeup()
 		case errors.Is(err, tun.ErrWouldBlock):
 			e.meter.AddWakeups(1)
 			switch e.cfg.ReadMode {
@@ -134,13 +135,11 @@ func (e *Engine) tunReader() {
 // schedule (§3.1) is unchanged, applied per burst.
 func (e *Engine) tunReaderBatched() {
 	defer e.wg.Done()
-	// The reader is the packet lanes' only producer, so it closes them:
-	// after this, each worker drains its ring and exits (the sharded-
-	// selector worker on this signal alone; the dispatcher-path worker
-	// once the dispatcher has closed the event lanes too).
+	// The reader is the rings' only producer, so it closes them: after
+	// this, each worker drains its ring and exits.
 	defer func() {
 		for _, w := range e.workers {
-			w.q.closePackets()
+			w.q.close()
 		}
 	}()
 	sleeping := e.readSleep()
@@ -177,11 +176,10 @@ func (e *Engine) tunReaderBatched() {
 // scatter routes one burst of raw tunnel packets to their pinned
 // workers. PeekFlowKey applies exactly Decode's structural validation,
 // so a packet rejected here (counted as a decode error) is one the
-// worker would have rejected anyway. On the sharded-selector path the
-// workers that received packets are woken once each, after the whole
-// burst is ringed — the per-burst amortisation of the per-packet
-// Wakeup the single-worker reader pays (§3.2); on the dispatcher path
-// pushPacket's parked-consumer flag does the waking instead.
+// worker would have rejected anyway. The workers that received packets
+// are woken once each, after the whole burst is ringed — the per-burst
+// amortisation of the per-packet Wakeup the single-worker reader pays
+// (§3.2).
 func (e *Engine) scatter(burst [][]byte, touched []bool) {
 	for i, raw := range burst {
 		burst[i] = nil // the ring owns the reference now
@@ -199,9 +197,7 @@ func (e *Engine) scatter(burst [][]byte, touched []bool) {
 	for i, t := range touched {
 		if t {
 			touched[i] = false
-			if e.sels != nil {
-				e.workers[i].sel.Wakeup()
-			}
+			e.workers[i].sel.Wakeup()
 		}
 	}
 }

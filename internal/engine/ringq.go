@@ -5,72 +5,44 @@ import (
 	"sync/atomic"
 )
 
-// ringQ is one pinned worker's input queue on the multi-worker path,
-// replacing the shared-mutex workQueue. It carries the two event
-// sources a worker multiplexes, in two lanes:
+// ringQ is one pinned worker's packet queue on the multi-worker path,
+// replacing the shared-mutex workQueue: a bounded single-producer/
+// single-consumer ring. The producer is the batched TunReader
+// (reader.go), which peeks each packet's flow key and scatters the
+// burst across workers; the consumer is the worker pinned to the
+// flow's shard. Pushes and pops on the hot path are two atomic loads,
+// one atomic store, and one slot write — no lock, no allocation in
+// steady state. FIFO order within the ring is what preserves per-flow
+// packet ordering (a flow's packets all land in the same ring).
 //
-//   - the packet lane: a bounded single-producer/single-consumer ring.
-//     The producer is the batched TunReader (reader.go), which peeks
-//     each packet's flow key and scatters the burst across workers; the
-//     consumer is the worker pinned to the flow's shard. Pushes and
-//     pops on the hot path are two atomic loads, one atomic store, and
-//     one slot write — no lock, no allocation in steady state. FIFO
-//     order within the ring is what preserves per-flow packet ordering
-//     (a flow's packets all land in the same ring).
+// The consumer never parks on the ring: it parks in its selector's
+// Select, and wake (that selector's Wakeup) is its only wake-up. The
+// reader wakes each touched worker once per burst (scatter); the ring
+// itself calls wake only where the consumer could otherwise sleep
+// through a state change it must see — a producer about to park on a
+// full ring, and the ring's close.
 //
-//   - the event lane: a small mutex-guarded FIFO fed by the dispatcher
-//     with claimed socket-readiness events. Socket events arrive at
-//     connection rate, not packet rate, so a mutex is fine here; an
-//     atomic count lets the consumer check the lane for the cost of one
-//     load per iteration, which keeps a packet flood from starving
-//     socket events without paying the mutex per packet.
-//
-// On the default shared-nothing path (per-worker selectors) only the
-// packet lane is used: socket readiness lands on the worker's own
-// selector, the worker parks in Select rather than in take(), and the
-// ring's wake callback (the worker selector's Wakeup) replaces the
-// consumer-parking condvar. The event lane and the consumer park/wake
-// protocol below remain live on the Workers=1-style SharedDispatcher
-// compatibility path.
-//
-// Blocking is two-sided: the consumer parks when both lanes are empty,
-// and the producer parks when the ring is full (backpressure toward
-// the TUN queue, which drops on overflow exactly like a real device).
-// The park/wake protocol is the standard flag-then-recheck dance: the
-// sleeper sets its flag and re-checks the queue under the mutex before
-// waiting, the waker updates the queue and then loads the flag —
+// The producer parks when the ring is full (backpressure toward the
+// TUN queue, which drops on overflow exactly like a real device). The
+// park/wake protocol is the standard flag-then-recheck dance: the
+// producer sets its flag and re-checks the ring under the mutex before
+// waiting, the consumer frees a slot and then loads the flag —
 // sequentially consistent atomics make it impossible for both to miss.
 type ringQ struct {
-	// Packet lane (SPSC). head is owned by the consumer, tail by the
-	// producer; buf slot i is written by the producer before the tail
-	// store publishes it and cleared by the consumer before the head
-	// store releases it.
+	// head is owned by the consumer, tail by the producer; buf slot i
+	// is written by the producer before the tail store publishes it and
+	// cleared by the consumer before the head store releases it.
 	buf  [][]byte
 	mask uint64
 	head atomic.Uint64
 	tail atomic.Uint64
 
-	// Event lane (dispatcher → worker).
-	evMu     sync.Mutex
-	evs      []workItem
-	evCount  atomic.Int64
-	evClosed bool
+	closed atomic.Bool
+	wake   func()
 
-	pktClosed atomic.Bool
-
-	// wake, when set (sharded-selector path), is invoked wherever the
-	// consumer could otherwise sleep through a state change it must
-	// see: a producer about to park on a full ring, and the packet
-	// lane's close. The per-push consumer wakeup is NOT routed through
-	// it — the batched reader wakes the consumer once per burst, which
-	// is the point of batching.
-	wake func()
-
-	// Parking.
+	// Producer parking.
 	mu       sync.Mutex
-	cond     *sync.Cond // consumer waits here when both lanes are empty
 	space    *sync.Cond // producer waits here when the ring is full
-	parked   atomic.Bool
 	prodWait atomic.Bool
 }
 
@@ -80,7 +52,10 @@ type ringQ struct {
 // TUN queue before unbounded memory does.
 const defaultRingSize = 1024
 
-func newRingQ(size int) *ringQ {
+// newRingQ builds a ring of at least size slots (rounded up to a power
+// of two; <= 0 selects defaultRingSize) whose consumer is woken by
+// wake.
+func newRingQ(size int, wake func()) *ringQ {
 	if size <= 0 {
 		size = defaultRingSize
 	}
@@ -88,34 +63,30 @@ func newRingQ(size int) *ringQ {
 	for n < size {
 		n <<= 1
 	}
-	q := &ringQ{buf: make([][]byte, n), mask: uint64(n - 1)}
-	q.cond = sync.NewCond(&q.mu)
+	q := &ringQ{buf: make([][]byte, n), mask: uint64(n - 1), wake: wake}
 	q.space = sync.NewCond(&q.mu)
 	return q
 }
 
-// cap returns the ring capacity (exported for tests via Cap-like use).
+// capacity returns the ring's slot count.
 func (q *ringQ) capacity() int { return len(q.buf) }
 
 // pushPacket enqueues one raw tunnel packet. Single producer only. It
-// blocks while the ring is full; closing the packet lane is the
-// producer's own act, so a blocked push only ever waits on the
-// consumer, which drains before it exits.
+// blocks while the ring is full; closing the ring is the producer's
+// own act, so a blocked push only ever waits on the consumer, which
+// drains before it exits.
 func (q *ringQ) pushPacket(raw []byte) {
 	for {
 		t := q.tail.Load()
 		if t-q.head.Load() < uint64(len(q.buf)) {
 			q.buf[t&q.mask] = raw
 			q.tail.Store(t + 1)
-			q.wakeConsumer()
 			return
 		}
-		// Full ring: the consumer may be parked (in take(), or in its
-		// selector's Select on the sharded path) having last seen an
-		// empty ring — wake it before waiting, or nobody makes space.
-		if q.wake != nil {
-			q.wake()
-		}
+		// Full ring: the consumer may be parked in its selector's Select
+		// having last seen an empty ring — wake it before waiting, or
+		// nobody makes space.
+		q.wake()
 		q.mu.Lock()
 		q.prodWait.Store(true)
 		if q.tail.Load()-q.head.Load() >= uint64(len(q.buf)) {
@@ -143,105 +114,14 @@ func (q *ringQ) popPacket() ([]byte, bool) {
 	return raw, true
 }
 
-// pushEvent enqueues one claimed socket-readiness event.
-func (q *ringQ) pushEvent(it workItem) {
-	q.evMu.Lock()
-	if !q.evClosed {
-		q.evs = append(q.evs, it)
-		q.evCount.Add(1)
-	}
-	q.evMu.Unlock()
-	q.wakeConsumer()
-}
-
-func (q *ringQ) popEvent() (workItem, bool) {
-	if q.evCount.Load() == 0 {
-		return workItem{}, false
-	}
-	q.evMu.Lock()
-	if len(q.evs) == 0 {
-		q.evMu.Unlock()
-		return workItem{}, false
-	}
-	it := q.evs[0]
-	q.evs[0] = workItem{}
-	q.evs = q.evs[1:]
-	q.evCount.Add(-1)
-	q.evMu.Unlock()
-	return it, true
-}
-
-// take returns the worker's next unit of work, blocking while both
-// lanes are empty. Socket events are checked first (one atomic load per
-// iteration) so a sustained packet flood cannot starve them. ok is
-// false once both lanes are closed and drained.
-func (q *ringQ) take() (workItem, bool) {
-	for {
-		if it, ok := q.popEvent(); ok {
-			return it, true
-		}
-		if raw, ok := q.popPacket(); ok {
-			return workItem{raw: raw}, true
-		}
-		q.mu.Lock()
-		q.parked.Store(true)
-		if q.emptyBoth() {
-			if q.pktClosed.Load() && q.eventsClosed() {
-				q.parked.Store(false)
-				q.mu.Unlock()
-				return workItem{}, false
-			}
-			q.cond.Wait()
-		}
-		q.parked.Store(false)
-		q.mu.Unlock()
-	}
-}
-
-func (q *ringQ) emptyBoth() bool {
-	return q.head.Load() == q.tail.Load() && q.evCount.Load() == 0
-}
-
-// drained reports an empty packet lane; the sharded-selector worker's
-// exit test (with pktClosed) — its events live on its own selector, so
-// the event lane does not participate.
+// drained reports an empty ring; with closed, the worker's exit test.
 func (q *ringQ) drained() bool {
 	return q.head.Load() == q.tail.Load()
 }
 
-func (q *ringQ) eventsClosed() bool {
-	q.evMu.Lock()
-	defer q.evMu.Unlock()
-	return q.evClosed
-}
-
-func (q *ringQ) wakeConsumer() {
-	if q.parked.Load() {
-		q.mu.Lock()
-		q.cond.Signal()
-		q.mu.Unlock()
-	}
-}
-
-// closePackets marks the packet lane closed. Only the producer calls
-// it, after its final push, so no push can follow.
-func (q *ringQ) closePackets() {
-	q.pktClosed.Store(true)
-	q.mu.Lock()
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	if q.wake != nil {
-		q.wake()
-	}
-}
-
-// closeEvents marks the event lane closed; later pushEvent calls are
-// discarded.
-func (q *ringQ) closeEvents() {
-	q.evMu.Lock()
-	q.evClosed = true
-	q.evMu.Unlock()
-	q.mu.Lock()
-	q.cond.Broadcast()
-	q.mu.Unlock()
+// close marks the ring closed and wakes the consumer. Only the
+// producer calls it, after its final push, so no push can follow.
+func (q *ringQ) close() {
+	q.closed.Store(true)
+	q.wake()
 }

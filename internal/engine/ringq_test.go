@@ -4,21 +4,57 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // Unit and property tests for the per-worker SPSC ring queue: FIFO
 // order under concurrency (the invariant per-flow ordering rests on),
-// producer backpressure when the ring is full, event-lane fairness
-// under a packet flood, close semantics, and the allocation-free
-// steady state.
+// producer backpressure when the ring is full, close semantics, and
+// the allocation-free steady state.
+
+// testRing is a ring with the consumer side a worker gives it: wake
+// signals a one-slot channel (sticky, like a selector's Wakeup), and
+// take parks on that channel while the ring is empty.
+type testRing struct {
+	*ringQ
+	woke  chan struct{}
+	wakes atomic.Int64
+}
+
+func newTestRing(size int) *testRing {
+	r := &testRing{woke: make(chan struct{}, 1)}
+	r.ringQ = newRingQ(size, func() {
+		r.wakes.Add(1)
+		select {
+		case r.woke <- struct{}{}:
+		default:
+		}
+	})
+	return r
+}
+
+// take pops the next packet, parking until woken while the ring is
+// empty; ok is false once the ring is closed and drained — the
+// worker's exit test.
+func (r *testRing) take() ([]byte, bool) {
+	for {
+		if raw, ok := r.popPacket(); ok {
+			return raw, true
+		}
+		if r.closed.Load() && r.drained() {
+			return nil, false
+		}
+		<-r.woke
+	}
+}
 
 func TestRingQRoundsToPowerOfTwo(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, defaultRingSize}, {-1, defaultRingSize}, {1, 1}, {2, 2}, {3, 4}, {1000, 1024},
 	} {
-		if got := newRingQ(tc.in).capacity(); got != tc.want {
+		if got := newRingQ(tc.in, func() {}).capacity(); got != tc.want {
 			t.Errorf("newRingQ(%d) capacity = %d, want %d", tc.in, got, tc.want)
 		}
 	}
@@ -26,19 +62,21 @@ func TestRingQRoundsToPowerOfTwo(t *testing.T) {
 
 // TestRingQFIFOAcrossWrap pushes far more packets than the capacity
 // through a concurrent producer/consumer pair and asserts strict FIFO —
-// the wraparound indices must never skip or duplicate a slot.
+// the wraparound indices must never skip or duplicate a slot. The
+// producer wakes the consumer once per 7-packet burst, as the reader
+// does, so the ring's own full-ring wake-ups carry the rest.
 func TestRingQFIFOAcrossWrap(t *testing.T) {
-	q := newRingQ(16)
+	q := newTestRing(16)
 	const n = 5000
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < n; i++ {
-			it, ok := q.take()
+			raw, ok := q.take()
 			if !ok {
 				done <- errf("queue closed at %d", i)
 				return
 			}
-			if got := binary.BigEndian.Uint32(it.raw); got != uint32(i) {
+			if got := binary.BigEndian.Uint32(raw); got != uint32(i) {
 				done <- errf("pop %d returned %d: FIFO violated", i, got)
 				return
 			}
@@ -49,7 +87,11 @@ func TestRingQFIFOAcrossWrap(t *testing.T) {
 		raw := make([]byte, 4)
 		binary.BigEndian.PutUint32(raw, uint32(i))
 		q.pushPacket(raw)
+		if i%7 == 6 {
+			q.wake()
+		}
 	}
+	q.close()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -71,25 +113,25 @@ func TestRingQPerFlowOrderAcrossRings(t *testing.T) {
 		flows = 32
 		perFl = 400
 	)
-	qs := make([]*ringQ, rings)
+	qs := make([]*testRing, rings)
 	for i := range qs {
-		qs[i] = newRingQ(64) // small: exercises full-ring backpressure
+		qs[i] = newTestRing(64) // small: exercises full-ring backpressure
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, rings)
 	for _, q := range qs {
 		wg.Add(1)
-		go func(q *ringQ) {
+		go func(q *testRing) {
 			defer wg.Done()
 			last := make(map[uint32]uint32)
 			for {
-				it, ok := q.take()
+				raw, ok := q.take()
 				if !ok {
 					errs <- nil
 					return
 				}
-				flow := binary.BigEndian.Uint32(it.raw[0:])
-				seq := binary.BigEndian.Uint32(it.raw[4:])
+				flow := binary.BigEndian.Uint32(raw[0:])
+				seq := binary.BigEndian.Uint32(raw[4:])
 				if prev, seen := last[flow]; seen && seq != prev+1 {
 					errs <- errf("flow %d: seq %d after %d", flow, seq, prev)
 					return
@@ -99,7 +141,8 @@ func TestRingQPerFlowOrderAcrossRings(t *testing.T) {
 		}(q)
 	}
 	// Interleave flows the way a real tunnel does: round-robin over
-	// flows, sequence numbers per flow.
+	// flows, sequence numbers per flow, one wake per ring per round
+	// (the reader's per-burst wake).
 	for seq := uint32(0); seq < perFl; seq++ {
 		for flow := uint32(0); flow < flows; flow++ {
 			raw := make([]byte, 8)
@@ -107,10 +150,12 @@ func TestRingQPerFlowOrderAcrossRings(t *testing.T) {
 			binary.BigEndian.PutUint32(raw[4:], seq)
 			qs[flow%rings].pushPacket(raw)
 		}
+		for _, q := range qs {
+			q.wake()
+		}
 	}
 	for _, q := range qs {
-		q.closePackets()
-		q.closeEvents()
+		q.close()
 	}
 	wg.Wait()
 	close(errs)
@@ -121,30 +166,11 @@ func TestRingQPerFlowOrderAcrossRings(t *testing.T) {
 	}
 }
 
-// TestRingQEventsNotStarvedByPacketFlood fills the packet lane, then
-// pushes one event: the consumer must receive the event on its next
-// take even though packets are still pending (the event lane is checked
-// first, for the price of one atomic load).
-func TestRingQEventsNotStarvedByPacketFlood(t *testing.T) {
-	q := newRingQ(64)
-	for i := 0; i < 64; i++ {
-		q.pushPacket([]byte{byte(i)})
-	}
-	q.pushEvent(workItem{ready: 1})
-	it, ok := q.take()
-	if !ok {
-		t.Fatal("take failed")
-	}
-	if it.raw != nil || it.ready != 1 {
-		t.Fatalf("take under flood returned a packet before the pending event: %+v", it)
-	}
-}
-
 // TestRingQFullBlocksProducerUntilDrain verifies bounded-queue
-// backpressure: a push beyond capacity parks the producer until the
-// consumer pops.
+// backpressure: a push beyond capacity wakes the consumer, then parks
+// the producer until the consumer pops.
 func TestRingQFullBlocksProducerUntilDrain(t *testing.T) {
-	q := newRingQ(4)
+	q := newTestRing(4)
 	for i := 0; i < 4; i++ {
 		q.pushPacket([]byte{byte(i)})
 	}
@@ -158,6 +184,9 @@ func TestRingQFullBlocksProducerUntilDrain(t *testing.T) {
 		t.Fatal("push into a full ring returned without a pop")
 	case <-time.After(20 * time.Millisecond):
 	}
+	if q.wakes.Load() == 0 {
+		t.Fatal("producer parked on a full ring without waking the consumer")
+	}
 	if raw, ok := q.popPacket(); !ok || raw[0] != 0 {
 		t.Fatalf("pop = %v, %v", raw, ok)
 	}
@@ -169,17 +198,17 @@ func TestRingQFullBlocksProducerUntilDrain(t *testing.T) {
 }
 
 // TestRingQCloseReleasesConsumer parks a consumer on an empty queue and
-// closes both lanes: take must return ok=false.
+// closes it: the close must wake the consumer, and take return
+// ok=false.
 func TestRingQCloseReleasesConsumer(t *testing.T) {
-	q := newRingQ(8)
+	q := newTestRing(8)
 	got := make(chan bool, 1)
 	go func() {
 		_, ok := q.take()
 		got <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.closePackets()
-	q.closeEvents()
+	q.close()
 	select {
 	case ok := <-got:
 		if ok {
@@ -191,37 +220,31 @@ func TestRingQCloseReleasesConsumer(t *testing.T) {
 }
 
 // TestRingQDrainsBacklogAfterClose ensures close-then-drain semantics:
-// items pushed before close are all delivered before take reports
-// closed.
+// packets pushed before close are all delivered, in order, before take
+// reports closed.
 func TestRingQDrainsBacklogAfterClose(t *testing.T) {
-	q := newRingQ(8)
+	q := newTestRing(8)
 	for i := 0; i < 5; i++ {
 		q.pushPacket([]byte{byte(i)})
 	}
-	q.pushEvent(workItem{ready: 2})
-	q.closePackets()
-	q.closeEvents()
-	var pkts, evs int
+	q.close()
+	var got []byte
 	for {
-		it, ok := q.take()
+		raw, ok := q.take()
 		if !ok {
 			break
 		}
-		if it.raw != nil {
-			pkts++
-		} else {
-			evs++
-		}
+		got = append(got, raw[0])
 	}
-	if pkts != 5 || evs != 1 {
-		t.Fatalf("drained %d packets, %d events; want 5, 1", pkts, evs)
+	if string(got) != "\x00\x01\x02\x03\x04" {
+		t.Fatalf("drained %v; want packets 0..4", got)
 	}
 }
 
 // TestRingQSteadyStateAllocFree pins the allocation-free claim: a
 // push/pop pair on a non-contended ring performs zero allocations.
 func TestRingQSteadyStateAllocFree(t *testing.T) {
-	q := newRingQ(64)
+	q := newRingQ(64, func() {})
 	raw := []byte{1, 2, 3}
 	allocs := testing.AllocsPerRun(1000, func() {
 		q.pushPacket(raw)

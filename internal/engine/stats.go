@@ -73,6 +73,16 @@ type Stats struct {
 	Mapping MappingStats
 }
 
+// UDPAccounted sums the relay's five terminal per-datagram counters.
+// Every UDP datagram the app side sends ends in exactly one of them: a
+// DNS answer measured or timed out, a response relayed, a request
+// whose receive window closed empty, or a datagram shed. So at any
+// moment UDPAccounted never exceeds the datagrams sent, and once the
+// traffic settles it equals them.
+func (s Stats) UDPAccounted() int {
+	return s.DNSMeasurements + s.DNSTimeouts + s.UDPRelayed + s.UDPNoResponse + s.UDPDropped
+}
+
 // counters holds the hot engine counters as atomics. The paper's engine
 // could guard these with the one engine mutex because one MainWorker
 // produced nearly all of them; with N workers (and the UDP/connect

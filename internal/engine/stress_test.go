@@ -15,16 +15,14 @@ import (
 // `go test -race`: multiple injector goroutines flood the engine with
 // connections and data while other goroutines hammer the snapshot APIs
 // (Stats, ActiveClients, AppTraffic) and Stop lands mid-flood. Run for
-// the paper-faithful single worker and every multi-worker topology:
-// the default per-worker selectors (fixed and AIMD-governed bursts,
-// plus a ring smaller than the burst to stress the wake-before-park
-// backpressure path) and the legacy shared-dispatcher ablation arm.
+// the paper-faithful single worker and multi-worker engines with
+// fixed and AIMD-governed bursts, a ring smaller than the burst to
+// stress the wake-before-park backpressure path, and a worker count
+// that does not divide the flow-table shards evenly.
 
 func TestEngineStressSingleWorker(t *testing.T) { stressEngine(t, 1, nil) }
 func TestEngineStressFourWorkers(t *testing.T)  { stressEngine(t, 4, nil) }
-func TestEngineStressSharedDispatcher(t *testing.T) {
-	stressEngine(t, 4, func(cfg *engine.Config) { cfg.SharedDispatcher = true })
-}
+func TestEngineStressThreeWorkers(t *testing.T) { stressEngine(t, 3, nil) }
 func TestEngineStressAdaptiveBatch(t *testing.T) {
 	stressEngine(t, 4, func(cfg *engine.Config) { cfg.ReadBatchAuto = true })
 }

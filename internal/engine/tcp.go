@@ -189,9 +189,9 @@ func (e *Engine) socketConnectBlocking(cl *relay.TCPClient) {
 
 	// DeferRegister or not, registration happens here in blocking mode;
 	// the §3.4 cost model is identical either way. The key lands on the
-	// selector of the worker that owns this flow's shard (the shared
-	// selector at Workers=1), pinning readiness delivery to the thread
-	// that relays the flow.
+	// selector of the worker that owns this flow's shard (the
+	// MainWorker's one selector at Workers=1), pinning readiness
+	// delivery to the thread that relays the flow.
 	key := e.selectorFor(cl.Shard).Register(ch, sockets.OpRead, cl)
 	cl.SetKey(key)
 	if cl.PendingWrites() || cl.HalfCloseRequested() {
@@ -266,16 +266,11 @@ func (e *Engine) recordTCP(cl *relay.TCPClient, rtt time.Duration) {
 	e.record(measure.KindTCP, app, uid, cl.Flow.Dst, "", rtt)
 }
 
-// handleSocketKey processes §2.3's socket events on the calling
-// (single-worker) thread, claiming the key's readiness itself.
+// handleSocketKey processes §2.3's socket events on the thread whose
+// selector returned the key, claiming the key's (consume-once)
+// readiness.
 func (e *Engine) handleSocketKey(k *sockets.SelectionKey) {
-	e.handleSocketOps(k, k.ReadyOps())
-}
-
-// handleSocketOps processes the given ready set for a key. In the
-// multi-worker pipeline the dispatcher claims ReadyOps (it is
-// consume-once) and passes it here on the pinned worker.
-func (e *Engine) handleSocketOps(k *sockets.SelectionKey, ready sockets.Ops) {
+	ready := k.ReadyOps()
 	if ready == 0 {
 		return
 	}

@@ -138,16 +138,17 @@ func TestUDPSessionReuseAndExpiry(t *testing.T) {
 // pooled relay's accounting contract: a flood of datagrams on ONE flow
 // (so every packet reuses the same NAT session, from concurrent sender
 // goroutines, through concurrent pool workers sharing that session's
-// socket) must satisfy, exactly,
+// socket) must satisfy the engine's accounting identity exactly,
 //
-//	UDPRelayed + UDPDropped == datagrams sent
+//	Stats.UDPAccounted() == datagrams sent
 //
 // — no drop lost, none double-counted, no response counted twice. The
 // drops are made deterministic instead of load-dependent: the echo
 // service blocks on a gate, so the pool wedges, the bounded job queue
 // fills, and every further datagram must take the drop path; releasing
-// the gate drains the queue and every accepted datagram must then be
-// counted as relayed.
+// the gate drains the queue and every accepted datagram is then
+// counted as relayed — or as no-response, when the wedge outlasted its
+// real-clock receive window.
 func TestUDPRelaySameFlowDropAccountingExact(t *testing.T) {
 	const (
 		senders   = 4
@@ -211,9 +212,8 @@ func TestUDPRelaySameFlowDropAccountingExact(t *testing.T) {
 	// run ahead of the traffic.
 	waitFor(t, 10*time.Second, func() bool {
 		st := eng.Stats()
-		if st.UDPRelayed+st.UDPDropped > total {
-			t.Fatalf("accounting overshot mid-flood: relayed %d + dropped %d > sent %d",
-				st.UDPRelayed, st.UDPDropped, total)
+		if st.UDPAccounted() > total {
+			t.Fatalf("accounting overshot mid-flood: %d accounted (%+v) > sent %d", st.UDPAccounted(), st, total)
 		}
 		return st.PacketsFromTun >= total
 	}, "flood to reach the relay")
@@ -224,18 +224,17 @@ func TestUDPRelaySameFlowDropAccountingExact(t *testing.T) {
 	close(gate)
 	waitFor(t, 10*time.Second, func() bool {
 		st := eng.Stats()
-		if st.UDPRelayed+st.UDPDropped > total {
-			t.Fatalf("accounting overshot: relayed %d + dropped %d > sent %d",
-				st.UDPRelayed, st.UDPDropped, total)
+		if st.UDPAccounted() > total {
+			t.Fatalf("accounting overshot: %d accounted (%+v) > sent %d", st.UDPAccounted(), st, total)
 		}
-		return st.UDPRelayed+st.UDPDropped == total
-	}, "exact relayed+dropped accounting")
+		return st.UDPAccounted() == total
+	}, "exact five-term accounting")
 	// Settle and re-check: a double count would keep drifting.
 	time.Sleep(100 * time.Millisecond)
 	st := eng.Stats()
-	if st.UDPRelayed+st.UDPDropped != total {
-		t.Errorf("accounting drifted after settling: relayed %d + dropped %d != sent %d",
-			st.UDPRelayed, st.UDPDropped, total)
+	if st.UDPAccounted() != total {
+		t.Errorf("accounting drifted after settling: relayed %d + no-response %d + dropped %d != sent %d",
+			st.UDPRelayed, st.UDPNoResponse, st.UDPDropped, total)
 	}
 	if got := eng.ActiveUDPSessions(); got != 1 {
 		t.Errorf("%d NAT sessions for one flow, want 1", got)
@@ -458,7 +457,7 @@ func TestUDPNoResponseAndLateRelayCounted(t *testing.T) {
 		t.Errorf("UDPLateRelayed %d > UDPNoResponse %d violates the accounting identity", st.UDPLateRelayed, st.UDPNoResponse)
 	}
 	sent := tb.phone.UDPDatagramsSent()
-	if got := int64(st.DNSMeasurements + st.DNSTimeouts + st.UDPRelayed + st.UDPNoResponse + st.UDPDropped); got != sent {
+	if got := int64(st.UDPAccounted()); got != sent {
 		t.Errorf("accounting: measured+timeouts+relayed+noresponse+dropped = %d, phone sent %d", got, sent)
 	}
 }

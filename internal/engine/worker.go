@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"repro/internal/relay"
-	"repro/internal/sockets"
-)
+import "repro/internal/sockets"
 
 // The packet-processing core. Two shapes share the same per-event
 // handlers (tcp.go, dns.go):
@@ -13,80 +10,39 @@ import (
 //     queue (§3.2). This is the fidelity-preserving default; the
 //     ablation results are produced on this path.
 //
-//   - Workers > 1 (default, shared-nothing): N independent MainWorkers.
-//     The batched TunReader peeks each packet's flow key and scatters
+//   - Workers > 1: N independent MainWorkers, shared-nothing. The
+//     batched TunReader peeks each packet's flow key and scatters
 //     bursts straight into the per-worker SPSC rings (reader.go);
 //     socket readiness lands on the owning worker's own selector,
 //     because the socket was registered there at connect time
 //     (selectorFor). Each worker multiplexes exactly its own selector
 //     and its own ring — no stage is shared between workers, so worker
-//     scaling has no serial hot-path section left.
-//
-//   - Workers > 1 with Config.SharedDispatcher: the pre-shared-nothing
-//     shape, kept as the ablation arm. One selector covers every
-//     socket; a dispatcher goroutine drains it, claims each key's
-//     readiness (ReadyOps is consume-once), and routes the event to the
-//     owning worker's event lane.
-//
-//     Either way all events of a flow are drained by that one pinned
-//     worker, so per-flow packet ordering is preserved while distinct
-//     flows proceed in parallel.
+//     scaling has no serial hot-path section left. All events of a
+//     flow are drained by its one pinned worker, so per-flow packet
+//     ordering is preserved while distinct flows proceed in parallel.
 
-// worker is one pinned packet-processing thread. sel is its private
-// selector on the shared-nothing path, nil under SharedDispatcher.
+// worker is one pinned packet-processing thread with its private
+// selector and packet ring.
 type worker struct {
 	id  int
 	q   *ringQ
 	sel *sockets.Selector
 }
 
-// workItem is one unit routed to a worker: either a raw tunnel packet
-// (decoded by the owning worker, not the dispatcher) or a socket
-// readiness event (ready claimed by the dispatcher, since ReadyOps()
-// is consume-once).
-type workItem struct {
-	raw   []byte
-	key   *sockets.SelectionKey
-	ready sockets.Ops
-}
-
-// workerFor maps a shard index to its owning worker.
-func (e *Engine) workerFor(shard int) *worker {
-	return e.workers[shard%len(e.workers)]
-}
-
-// workerLoop drains one worker's queue until the dispatcher closes it
-// (the SharedDispatcher ablation path).
-func (e *Engine) workerLoop(w *worker) {
-	defer e.wg.Done()
-	for {
-		it, ok := w.q.take()
-		if !ok {
-			return
-		}
-		switch {
-		case it.raw != nil:
-			e.handleTunnelPacket(it.raw)
-		case it.key != nil:
-			e.handleSocketOps(it.key, it.ready)
-		}
-	}
-}
-
-// workerLoopSharded is one shared-nothing worker: structurally the
-// paper's MainWorker loop (one Select covering both event sources),
-// but over the worker's private selector and private packet ring. The
-// reader wakes the selector once per burst per touched worker; socket
+// runWorker is one shared-nothing worker: structurally the paper's
+// MainWorker loop (one Select covering both event sources), but over
+// the worker's private selector and private packet ring. The reader
+// wakes the selector once per burst per touched worker; socket
 // readiness wakes it from markReady directly. Like MainWorker it
 // drains in interleaved batches so a packet flood cannot starve socket
 // events. The worker exits only once the reader has closed the packet
 // lane (its final act, after which no push can follow) and the ring is
 // drained — exiting on the running flag alone could strand a reader
 // blocked in a full-ring push with nobody left to make space.
-func (e *Engine) workerLoopSharded(w *worker) {
+func (e *Engine) runWorker(w *worker) {
 	defer e.wg.Done()
 	for {
-		if w.q.pktClosed.Load() && w.q.drained() {
+		if w.q.closed.Load() && w.q.drained() {
 			return
 		}
 		keys := w.sel.Select()
@@ -113,52 +69,6 @@ func (e *Engine) workerLoopSharded(w *worker) {
 	}
 }
 
-// dispatcher is the SharedDispatcher selector loop. Tunnel packets do
-// not pass through it — the batched reader scatters them straight to
-// the workers' rings — so all that remains is routing socket-readiness
-// events to each flow's pinned worker. This shared stage (and the
-// Attachment load plus event-lane mutex per event it pays) is exactly
-// what the per-worker selectors eliminate.
-func (e *Engine) dispatcher() {
-	defer e.wg.Done()
-	// Closing the event lanes (the reader closes the packet lanes)
-	// releases the workers once they have drained.
-	defer func() {
-		for _, w := range e.workers {
-			w.q.closeEvents()
-		}
-	}()
-	for e.isRunning() {
-		for _, k := range e.sel.Select() {
-			e.routeKey(k)
-		}
-	}
-}
-
-// routeKey claims a key's readiness and hands it to the owning worker.
-// The dispatcher must consume ReadyOps here: readiness left on the key
-// would make the next Select return the same key again and spin the
-// dispatcher while the worker catches up.
-func (e *Engine) routeKey(k *sockets.SelectionKey) {
-	ready := k.ReadyOps()
-	if ready == 0 {
-		return
-	}
-	var cl *relay.TCPClient
-	switch a := k.Attachment().(type) {
-	case *relay.TCPClient:
-		cl = a
-	case *eventConnect:
-		cl = a.client
-	default:
-		return
-	}
-	if cl == nil {
-		return
-	}
-	e.workerFor(cl.Shard).q.pushEvent(workItem{key: k, ready: ready})
-}
-
 // mainWorker is the single packet-processing thread (Figure 4): one
 // selector wait point covers socket events and the tunnel read queue
 // (§3.2), and the two event sources are checked in an interleaved loop.
@@ -168,8 +78,9 @@ func (e *Engine) mainWorker() {
 		e.mainWorkerPolled()
 		return
 	}
+	sel := e.sels[0]
 	for e.isRunning() {
-		keys := e.sel.Select()
+		keys := sel.Select()
 		for {
 			progress := false
 			for _, k := range keys {
@@ -193,7 +104,7 @@ func (e *Engine) mainWorker() {
 			if !e.isRunning() {
 				return
 			}
-			keys = e.sel.SelectTimeout(0)
+			keys = sel.SelectTimeout(0)
 		}
 	}
 }
@@ -203,12 +114,13 @@ func (e *Engine) mainWorker() {
 // arriving just after a drain wait out the entire next sleep, which
 // batches the relay in poll-interval cycles.
 func (e *Engine) mainWorkerPolled() {
+	sel := e.sels[0]
 	for e.isRunning() {
 		e.clk.Sleep(e.cfg.MainLoopPoll)
 		e.meter.AddWakeups(1)
 		for {
 			progress := false
-			for _, k := range e.sel.SelectTimeout(0) {
+			for _, k := range sel.SelectTimeout(0) {
 				e.handleSocketKey(k)
 				progress = true
 			}

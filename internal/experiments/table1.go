@@ -34,10 +34,10 @@ type Table1Options struct {
 	// not change with the worker count; the golden determinism test
 	// pins that, guarding every dispatch/queue refactor.
 	Workers int
-	// SharedDispatcher runs the multi-worker pipeline on the legacy
-	// shared-selector + dispatcher topology instead of per-worker
-	// selectors. Only meaningful with Workers > 1; the golden test's
-	// third arm uses it to pin both topologies to the same totals.
+	// SharedDispatcher is ignored.
+	//
+	// Deprecated: the shared-selector dispatcher topology was retired;
+	// every multi-worker engine runs per-worker selectors.
 	SharedDispatcher bool
 }
 
@@ -60,7 +60,6 @@ func RunTable1(o Table1Options) (*Table1Result, error) {
 		cfg.Seed = seed
 		if o.Workers > 1 {
 			cfg.Workers = o.Workers
-			cfg.SharedDispatcher = o.SharedDispatcher
 		}
 		bed, err := testbed.New(testbed.Options{
 			Engine:       cfg,

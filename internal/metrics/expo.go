@@ -168,71 +168,3 @@ func (r *Registry) Handler() http.Handler {
 		_ = r.WritePrometheus(w)
 	})
 }
-
-// Merge combines snapshots from independent registries (the sharded
-// collector's per-shard servers) into one truthful view: counter and
-// gauge samples with the same name and labels sum; summary samples
-// merge bin-wise through the sketch, so merged quantiles are exactly
-// what one combined registry would have reported. Families must agree
-// on kind across snapshots.
-func Merge(snaps ...Snapshot) (Snapshot, error) {
-	type acc struct {
-		labels []Label
-		value  float64
-		sk     *sketch.Sketch
-	}
-	type famAcc struct {
-		help    string
-		kind    Kind
-		samples map[string]*acc
-	}
-	fams := make(map[string]*famAcc)
-	for _, snap := range snaps {
-		for _, f := range snap {
-			fa := fams[f.Name]
-			if fa == nil {
-				fa = &famAcc{help: f.Help, kind: f.Kind, samples: make(map[string]*acc)}
-				fams[f.Name] = fa
-			} else if fa.kind != f.Kind {
-				return nil, fmt.Errorf("metrics: merge kind conflict on %s: %s vs %s", f.Name, fa.kind, f.Kind)
-			}
-			for _, sm := range f.Samples {
-				sig := labelSignature(sm.Labels)
-				a := fa.samples[sig]
-				if a == nil {
-					a = &acc{labels: copyLabels(sm.Labels)}
-					fa.samples[sig] = a
-				}
-				if f.Kind == KindSummary {
-					if sm.Sketch == nil {
-						continue
-					}
-					if a.sk == nil {
-						a.sk = sm.Sketch.Clone()
-					} else if err := a.sk.Merge(sm.Sketch); err != nil {
-						return nil, fmt.Errorf("metrics: merge %s: %w", f.Name, err)
-					}
-					continue
-				}
-				a.value += sm.Value
-			}
-		}
-	}
-
-	names := make([]string, 0, len(fams))
-	for n := range fams {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make(Snapshot, 0, len(names))
-	for _, n := range names {
-		fa := fams[n]
-		samples := make([]Sample, 0, len(fa.samples))
-		for _, a := range fa.samples {
-			samples = append(samples, Sample{Labels: a.labels, Value: a.value, Sketch: a.sk})
-		}
-		sortSamples(samples)
-		out = append(out, Family{Name: n, Help: fa.help, Kind: fa.kind, Samples: samples})
-	}
-	return out, nil
-}

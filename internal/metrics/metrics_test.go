@@ -148,66 +148,6 @@ func TestGaugeAddConcurrent(t *testing.T) {
 	}
 }
 
-// TestMergeEquivalence is the sharded-vs-unsharded property at the
-// registry level: splitting a stream of observations across N
-// registries and merging their snapshots renders byte-identically to
-// one registry that saw everything.
-func TestMergeEquivalence(t *testing.T) {
-	const shards = 4
-	one := NewRegistry()
-	parts := make([]*Registry, shards)
-	for i := range parts {
-		parts[i] = NewRegistry()
-	}
-
-	instrument := func(r *Registry) (*Counter, *Quantile) {
-		return r.Counter("m_records_total", "records", L("src", "upload")),
-			r.Quantile("m_rtt_ms", "rtt", 0)
-	}
-	oc, oq := instrument(one)
-	for i := 1; i <= 4000; i++ {
-		v := float64(i % 997)
-		oc.Inc()
-		oq.Observe(v + 1)
-		pc, pq := instrument(parts[i%shards])
-		pc.Inc()
-		pq.Observe(v + 1)
-	}
-	// A gauge present in only some shards still merges (missing = 0).
-	parts[2].Gauge("m_backlog", "depth").Set(5)
-	one.Gauge("m_backlog", "depth").Set(5)
-
-	snaps := make([]Snapshot, shards)
-	for i, p := range parts {
-		snaps[i] = p.Gather()
-	}
-	merged, err := Merge(snaps...)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-
-	var mb, ob strings.Builder
-	if err := merged.WritePrometheus(&mb); err != nil {
-		t.Fatal(err)
-	}
-	if err := one.Gather().WritePrometheus(&ob); err != nil {
-		t.Fatal(err)
-	}
-	if mb.String() != ob.String() {
-		t.Fatalf("merged view differs from single registry:\n--- merged ---\n%s--- single ---\n%s", mb.String(), ob.String())
-	}
-}
-
-func TestMergeKindConflict(t *testing.T) {
-	a := NewRegistry()
-	a.Counter("x", "").Inc()
-	b := NewRegistry()
-	b.Gauge("x", "").Set(1)
-	if _, err := Merge(a.Gather(), b.Gather()); err == nil {
-		t.Fatal("kind conflict merged without error")
-	}
-}
-
 // TestScrapeUnderConcurrentWrites is the -race half of the coverage:
 // every instrument type written from many goroutines while scrapes,
 // gathers, and late registrations run concurrently.

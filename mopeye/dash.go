@@ -145,7 +145,7 @@ func (d *Dash) Run(ctx context.Context) error {
 			w.Header().Set("Content-Type", metrics.ContentType)
 			_ = d.p.WriteMetrics(w)
 		})
-		hs := &http.Server{Handler: mux}
+		hs := metrics.NewHTTPServer(mux)
 		go hs.Serve(d.ln)
 		defer hs.Close()
 	}

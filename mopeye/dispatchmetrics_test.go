@@ -36,8 +36,7 @@ func TestDefaultBenchOptions(t *testing.T) {
 		t.Fatalf("dispatch preset not runnable: %+v", d)
 	}
 	i := DefaultIngestBenchOptions()
-	if i.Devices <= 0 || i.BatchesPerDevice <= 0 || i.RecordsPerBatch <= 0 ||
-		i.ServerShards <= 0 {
+	if i.Devices <= 0 || i.BatchesPerDevice <= 0 || i.RecordsPerBatch <= 0 {
 		t.Fatalf("ingest preset not runnable: %+v", i)
 	}
 }

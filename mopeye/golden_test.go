@@ -28,37 +28,29 @@ func table1Totals(r *Table1Result) string {
 // Any future dispatch or queue refactor that drops, duplicates, or
 // reorders per-flow packets shifts these totals and fails here.
 func TestGoldenTable1DeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int, sharedDispatcher bool) string {
+	run := func(workers int) string {
 		t.Helper()
 		o := DefaultTable1Options()
 		o.Pages = 4
 		o.ConnsPerPage = 6
 		o.Workers = workers
-		o.SharedDispatcher = sharedDispatcher
 		res, err := RunTable1(o)
 		if err != nil {
-			t.Fatalf("table1 at workers=%d shared=%v: %v", workers, sharedDispatcher, err)
+			t.Fatalf("table1 at workers=%d: %v", workers, err)
 		}
 		return table1Totals(res)
 	}
 
-	single := run(1, false)
-	sharded := run(4, false)
+	single := run(1)
+	sharded := run(4)
 	if single != sharded {
 		t.Errorf("Table 1 deterministic columns diverge across engine cores:\n workers=1: %s\n workers=4: %s",
 			single, sharded)
 	}
-	// Third arm: the legacy shared-selector + dispatcher topology must
-	// relay the exact same packets as both the per-worker-selector
-	// pipeline and the single MainWorker.
-	if legacy := run(4, true); legacy != single {
-		t.Errorf("Table 1 deterministic columns diverge on the shared-dispatcher path:\n workers=1:          %s\n workers=4 (shared): %s",
-			single, legacy)
-	}
 
 	// The guard is only as good as the workload's own determinism: a
 	// second single-worker run must reproduce the first bit for bit.
-	if again := run(1, false); again != single {
+	if again := run(1); again != single {
 		t.Errorf("Table 1 totals not reproducible at workers=1:\n first:  %s\n second: %s", single, again)
 	}
 }

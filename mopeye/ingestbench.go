@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"runtime"
@@ -16,6 +15,7 @@ import (
 
 	"repro/internal/crowd"
 	"repro/internal/measure"
+	"repro/internal/metrics"
 	"repro/internal/sketch"
 )
 
@@ -24,8 +24,9 @@ import (
 // a fleet of 100k..1M phones? — asked of this implementation. No
 // engine runs; worker goroutines synthesize batches for N simulated
 // devices and push them through real HTTPTransports into a
-// crowd.ShardedServer, so what gets measured is exactly the upload hot
-// path: HTTP + wire decode + shard dedup + sketch update. The harness
+// crowd.Server, so what gets measured is exactly the upload hot path:
+// HTTP + wire decode + shard dedup + sketch update (+ the shard's
+// spool append, when SpoolDir is set). The harness
 // runs RetainRecords=off by design — at fleet scale the sketches are
 // the product — and reports records/sec, per-attempt upload latency
 // quantiles (sketched, naturally), the dedup-map footprint, and heap
@@ -46,10 +47,13 @@ type IngestBenchOptions struct {
 	// Workers is the number of concurrent uploader transports —
 	// simulated upload concurrency. Default GOMAXPROCS.
 	Workers int
-	// ServerShards is the crowd.ShardedServer shard count. Default 4.
+	// ServerShards is ignored.
+	//
+	// Deprecated: the collector shards once, internally; set
+	// IngestShards.
 	ServerShards int
-	// IngestShards is each shard server's internal lock-shard count
-	// (0 = crowd default).
+	// IngestShards is the collector's lock-shard count, one spool
+	// chain each (0 = crowd.DefaultIngestShards).
 	IngestShards int
 	// RetainRecords keeps raw records server-side (off is the
 	// fleet-scale configuration and the default here).
@@ -66,8 +70,8 @@ type IngestBenchOptions struct {
 	// nearest-rank medians — the end-to-end sketch-accuracy check. Costs
 	// O(records) client memory; meant for smoke-sized runs.
 	VerifyExact bool
-	// MetricsAddr serves the collector's merged /metrics exposition on
-	// this address (e.g. "127.0.0.1:9137") for the duration of the run,
+	// MetricsAddr serves the collector's /metrics exposition on this
+	// address (e.g. "127.0.0.1:9137") for the duration of the run,
 	// so upload rates, dedup hits, and per-shard skew are scrapeable
 	// live mid-load (`paperbench -exp ingest -metrics-addr ...`; the CI
 	// metrics-smoke step curls it). Empty disables.
@@ -81,7 +85,6 @@ func DefaultIngestBenchOptions() IngestBenchOptions {
 		BatchesPerDevice: 1,
 		RecordsPerBatch:  8,
 		DuplicateEvery:   20,
-		ServerShards:     4,
 	}
 }
 
@@ -123,7 +126,7 @@ func (r *IngestBenchResult) String() string {
 	fmt.Fprintf(&b, "%9s %8s %9s %10s %12s %10s %10s %10s %9s\n",
 		"devices", "workers", "shards", "duration", "recs/sec", "p50-up", "p99-up", "dedup-keys", "heap+MB")
 	fmt.Fprintf(&b, "%9d %8d %9d %10s %12.0f %8.2fms %8.2fms %10d %9.1f\n",
-		r.Devices, r.Options.Workers, r.Options.ServerShards, r.Duration.Round(time.Millisecond),
+		r.Devices, r.Options.Workers, r.Options.IngestShards, r.Duration.Round(time.Millisecond),
 		r.RecordsPerSec, r.UploadP50MS, r.UploadP99MS, r.DedupKeys, r.HeapGrowthMB)
 	fmt.Fprintf(&b, "server: batches=%d records=%d duplicates=%d",
 		r.Server.Batches, r.Server.Records, r.Server.Duplicates)
@@ -159,8 +162,8 @@ func RunIngestBench(o IngestBenchOptions) (*IngestBenchResult, error) {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.ServerShards <= 0 {
-		o.ServerShards = 4
+	if o.IngestShards <= 0 {
+		o.IngestShards = crowd.DefaultIngestShards
 	}
 	if o.Apps <= 0 {
 		o.Apps = 12
@@ -173,11 +176,11 @@ func RunIngestBench(o IngestBenchOptions) (*IngestBenchResult, error) {
 	if o.RetainRecords {
 		retain = crowd.RetainOn
 	}
-	srv, err := crowd.NewShardedServer(crowd.ServerOptions{
+	srv, err := crowd.NewServer(crowd.ServerOptions{
 		SpoolDir:      o.SpoolDir,
 		IngestShards:  o.IngestShards,
 		RetainRecords: retain,
-	}, o.ServerShards)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +195,7 @@ func RunIngestBench(o IngestBenchOptions) (*IngestBenchResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mopeye: ingest bench metrics listener: %w", err)
 		}
-		ms := &http.Server{Handler: srv.MetricsHandler()}
+		ms := metrics.NewHTTPServer(srv.MetricsHandler())
 		go ms.Serve(ln)
 		defer ms.Close()
 	}

@@ -24,7 +24,7 @@ func TestIngestBenchSmoke(t *testing.T) {
 		RecordsPerBatch:  4,
 		DuplicateEvery:   10,
 		Workers:          4,
-		ServerShards:     4,
+		IngestShards:     4,
 		Seed:             7,
 		VerifyExact:      true,
 		MetricsAddr:      "127.0.0.1:0",
@@ -169,14 +169,17 @@ func TestFetchCollectorStats(t *testing.T) {
 	}
 }
 
-// The acceptance e2e of PR 5/6, now against the sharded collector: the
-// byte-identical exactly-once dataset property survives sharded
-// ingest under 503s, stalls, and duplicate deliveries.
+// The fleet acceptance e2e against a four-shard spooling collector:
+// the byte-identical exactly-once dataset property survives sharded
+// ingest under 503s, stalls, and duplicate deliveries — in memory and
+// in the per-shard spool chains.
 func TestFleetE2EShardedServerMatchesInProcess(t *testing.T) {
-	srv, err := crowd.NewShardedServer(crowd.ServerOptions{Token: "fleet-secret"}, 4)
+	spool := t.TempDir()
+	srv, err := crowd.NewServer(crowd.ServerOptions{Token: "fleet-secret", IngestShards: 4, SpoolDir: spool})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	flaky := &flakyHandler{inner: srv, script: []string{
 		"503", "dup", "hang", "503", "dup", "503",
 	}}
@@ -220,6 +223,13 @@ func TestFleetE2EShardedServerMatchesInProcess(t *testing.T) {
 	}
 	if !bytes.Equal(jsonlBytes(t, local), jsonlBytes(t, remote)) {
 		t.Fatal("sharded server dataset diverges from the fleet's records")
+	}
+	spooled, err := crowd.ReadSpool(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(jsonlBytes(t, local), jsonlBytes(t, spooled)) {
+		t.Fatal("spooled dataset diverges from the fleet's records")
 	}
 
 	// The sketched medians agree with the exact nearest-rank medians

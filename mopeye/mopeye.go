@@ -123,12 +123,10 @@ type Options struct {
 	// the live limit between a small floor and that ceiling. The
 	// CLI spelling is `-readbatch auto`. Ignored at Workers=1.
 	ReadBatchAuto bool
-	// SharedDispatcher selects the legacy multi-worker topology — one
-	// shared selector drained by a dispatcher goroutine that routes
-	// readiness into per-worker event lanes — instead of the default
-	// shared-nothing per-worker selectors. It exists as the ablation
-	// baseline (`paperbench -exp dispatch -dispatcher shared`); leave
-	// it off otherwise. Ignored at Workers=1.
+	// SharedDispatcher is ignored.
+	//
+	// Deprecated: the shared-selector dispatcher topology was retired;
+	// every multi-worker engine runs per-worker selectors.
 	SharedDispatcher bool
 	// RealisticCosts enables the Android cost models (protect/register/
 	// dispatch latency, proc parse cost, tunnel write cost). Off by
@@ -205,9 +203,6 @@ func New(o Options) (*Phone, error) {
 	}
 	if o.ReadBatchAuto {
 		cfg.ReadBatchAuto = true
-	}
-	if o.SharedDispatcher {
-		cfg.SharedDispatcher = true
 	}
 	opts := testbed.Options{
 		Engine:     cfg,

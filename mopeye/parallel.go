@@ -37,9 +37,10 @@ type ParallelBenchOptions struct {
 	// ReadBatchAuto runs the AIMD burst governor (ReadBatch becomes
 	// the ceiling) instead of a pinned burst size.
 	ReadBatchAuto bool
-	// SharedDispatcher runs the legacy shared-selector + dispatcher
-	// topology instead of the default per-worker selectors — the
-	// sharded-selector ablation's baseline arm.
+	// SharedDispatcher is ignored.
+	//
+	// Deprecated: the shared-selector dispatcher topology was retired;
+	// every multi-worker engine runs per-worker selectors.
 	SharedDispatcher bool
 }
 
@@ -131,11 +132,10 @@ func runParallelOnce(o ParallelBenchOptions, workers int) (ParallelBenchRow, err
 		}
 	}
 	phone, err := New(Options{
-		Servers:          servers,
-		Workers:          workers,
-		ReadBatch:        o.ReadBatch,
-		ReadBatchAuto:    o.ReadBatchAuto,
-		SharedDispatcher: o.SharedDispatcher,
+		Servers:       servers,
+		Workers:       workers,
+		ReadBatch:     o.ReadBatch,
+		ReadBatchAuto: o.ReadBatchAuto,
 	})
 	if err != nil {
 		return ParallelBenchRow{}, err

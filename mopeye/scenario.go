@@ -378,7 +378,7 @@ func runScenarioCell(ctx context.Context, o ScenarioMatrixOptions, pname, wname 
 	cell.TCPMedianMS = measure.MedianRTT(planted.tcp)
 	cell.DNSMedianMS = measure.MedianRTT(planted.dns)
 	cell.DatagramsSent = planted.sent
-	cell.DatagramsAccounted = accounted(st)
+	cell.DatagramsAccounted = int64(st.UDPAccounted())
 	cell.DNSTimeouts = st.DNSTimeouts
 	cell.UDPDropped = st.UDPDropped
 
@@ -403,7 +403,7 @@ func runScenarioCell(ctx context.Context, o ScenarioMatrixOptions, pname, wname 
 	}
 	if !planted.settled {
 		fail("datagram accounting never settled: sent %d, accounted %d (dnsM %d + dnsTO %d + relayed %d + noResp %d + dropped %d)",
-			planted.sent, accounted(st), st.DNSMeasurements, st.DNSTimeouts, st.UDPRelayed, st.UDPNoResponse, st.UDPDropped)
+			planted.sent, st.UDPAccounted(), st.DNSMeasurements, st.DNSTimeouts, st.UDPRelayed, st.UDPNoResponse, st.UDPDropped)
 	}
 	if pname == "dns-blackhole" {
 		if st.DNSMeasurements != 0 {
@@ -458,7 +458,7 @@ func capturePhone(p *Phone, planted bool) *phoneCapture {
 	for {
 		c.sent = p.bed.Phone.UDPDatagramsSent()
 		c.stats = p.EngineStats()
-		if accounted(c.stats) == c.sent {
+		if int64(c.stats.UDPAccounted()) == c.sent {
 			c.settled = true
 			break
 		}
@@ -470,12 +470,6 @@ func capturePhone(p *Phone, planted bool) *phoneCapture {
 	c.tcp = p.TCPMeasurements()
 	c.dns = p.DNSMeasurements()
 	return c
-}
-
-// accounted sums the terminal per-datagram counters: every datagram
-// the phone stack injected must end in exactly one of them.
-func accounted(s engine.Stats) int64 {
-	return int64(s.DNSMeasurements + s.DNSTimeouts + s.UDPRelayed + s.UDPNoResponse + s.UDPDropped)
 }
 
 // stampRecords fills in the crowd metadata the live engine does not
